@@ -14,7 +14,7 @@ from .data import (
     split_meta,
     write_embeddings,
 )
-from .distill import KdConfig, distilled_training, kd_loss
+from .distill import KdConfig, kd_loss
 from .fusion import FusionModel, MultimodalSample, TeacherModel, init_fusion, init_teacher, teacher_train
 from .meta import Episode, MamlConfig, build_pool, evaluate_few_shot, inner_adapt, maml_train, meta_step, sample_episode
 from .metrics import AblationSettings, embedding_quality, project_2d, run_ablation, run_pipeline
@@ -32,6 +32,6 @@ from .mining import (
     similarity_histogram,
 )
 from .numeric import AdamWState, DenseLayer, ShapeError, adamw_init, adamw_step
-from .similarity import SimilarityMatrix, ZeroNormWarning, cosine_similarity, mean_pool, pairwise_similarity
+from .similarity import ZeroNormWarning, cosine_similarity
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import os
 import sys
@@ -22,9 +23,9 @@ import sys
 import numpy as np
 
 from . import cft, data, metrics, mining
-from .distill import KdConfig, distilled_training
-from .fusion import FusionModel, MultimodalSample, TeacherModel, batch_arrays, init_fusion, teacher_train
-from .meta import MamlConfig, build_pool, eval_report_to_csv, evaluate_few_shot
+from .distill import KdConfig
+from .fusion import FusionModel, MultimodalSample, TeacherModel, init_fusion, teacher_train
+from .meta import MamlConfig, build_pool, eval_report_to_csv, evaluate_few_shot, maml_train
 
 STAGE_SEED_OFFSETS = {
     "synth": 0,
@@ -279,14 +280,12 @@ def _cmd_maml(args, cfg):
     kd = _kd_config(args, cfg) if teacher is not None else None
     attr_dim = pool[0].attributes.shape[0]
     student = init_fusion(attr_dim, corpus.dim, len(corpus.families), mamlcfg.seed)
-    student, history = distilled_training(student, teacher, mamlcfg, kd, pool)
+    student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
     path = _outpath(args, cfg, "student.fus1")
     hist_path = _outpath(args, cfg, "maml_history.csv")
     student.save(path)
-    import csv as _csv
-
     with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["iteration", "query_loss", "query_accuracy"])
         for h in history:
             w.writerow([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])])

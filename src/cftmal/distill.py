@@ -1,8 +1,11 @@
-"""Knowledge-distillation loss and distilled MAML training.
+"""The CE+KD loss at the logits, its tangent, and the KD configuration.
 
 Standard soft-label formulation: (1 - alpha) * CE(student, labels) +
 alpha * tau^2 * KL(softmax(teacher/tau) || softmax(student/tau)), with the
-teacher treated as a constant.
+teacher treated as a constant. `logits_loss` is the one implementation;
+the models call it on every pass and `kd_loss` is its validated public
+form. `logits_loss_jvp` is the directional derivative of its gradient,
+used by the Hessian-vector products of the second-order MAML path.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ShapeError, softmax, softmax_cross_entropy
+from .numeric import ShapeError, softmax, softmax_cross_entropy, softmax_jvp
 
 
 @dataclass
@@ -45,36 +48,36 @@ def kd_parts(student_logits, teacher_logits, tau: float):
     return kl, grad
 
 
-def kd_loss(student_logits, teacher_logits, labels, cfg: KdConfig):
-    """Combined hard-label CE and soft-label KL loss.
+def logits_loss(logits, labels, kd):
+    """Mean CE+KD loss and its gradient at the logits.
 
-    Returns (loss, grad_student_logits). alpha = 0 short-circuits to plain
-    cross-entropy bit-exactly.
+    kd is None (plain cross-entropy) or (teacher_logits, alpha, tau).
+    alpha = 0 short-circuits to plain cross-entropy bit-exactly.
+    """
+    ce_loss, ce_grad = softmax_cross_entropy(logits, labels)
+    if kd is None or kd[1] == 0.0:
+        return ce_loss, ce_grad
+    teacher_logits, alpha, tau = kd
+    kl, kd_grad = kd_parts(logits, teacher_logits, tau)
+    loss = (1.0 - alpha) * ce_loss + alpha * tau * tau * kl
+    return loss, (1.0 - alpha) * ce_grad + alpha * kd_grad
+
+
+def logits_loss_jvp(logits, dlogits, kd):
+    """Tangent of logits_loss' gradient in the direction dlogits."""
+    n = logits.shape[0]
+    dce = softmax_jvp(softmax(logits), dlogits) / n
+    if kd is None or kd[1] == 0.0:
+        return dce
+    _, alpha, tau = kd
+    dkd = softmax_jvp(softmax(logits / tau), dlogits) / n  # tau * d(tau*(qs-qt)/n)/dz direction
+    return (1.0 - alpha) * dce + alpha * dkd
+
+
+def kd_loss(student_logits, teacher_logits, labels, cfg: KdConfig):
+    """Combined hard-label CE and soft-label KL loss under a validated config.
+
+    Returns (loss, grad_student_logits).
     """
     cfg.validate()
-    ce, ce_grad = softmax_cross_entropy(student_logits, labels)
-    if cfg.alpha == 0.0:
-        return ce, ce_grad
-    kl, kd_grad = kd_parts(student_logits, teacher_logits, cfg.kd_temperature)
-    tau2 = cfg.kd_temperature**2
-    loss = (1.0 - cfg.alpha) * ce + cfg.alpha * tau2 * kl
-    grad = (1.0 - cfg.alpha) * ce_grad + cfg.alpha * kd_grad
-    return loss, grad
-
-
-def distilled_training(student, teacher, meta_cfg, kd_cfg: KdConfig, pool):
-    """MAML training of the student with the teacher's soft labels mixed
-    into the inner/outer losses per kd_cfg.apply_in.
-
-    Returns (trained student, per-iteration query metrics).
-    """
-    from .meta import maml_train  # runtime import: meta depends on this module
-
-    if kd_cfg is not None:
-        kd_cfg.validate()
-        if teacher is not None and teacher.n_classes != student.n_classes:
-            raise ShapeError(
-                f"class count mismatch: teacher {teacher.n_classes}, "
-                f"student {student.n_classes}"
-            )
-    return maml_train(student, pool, meta_cfg, teacher=teacher, kd_cfg=kd_cfg)
+    return logits_loss(student_logits, labels, (teacher_logits, cfg.alpha, cfg.kd_temperature))

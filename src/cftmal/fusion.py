@@ -1,9 +1,14 @@
-"""Two-branch multimodal classifier and the attribute-only teacher.
+"""The multimodal student and the attribute-only teacher: one model.
 
-Both models expose the same functional surface (forward / backward /
-params / hvp) so the meta-learning loop can train either one. The
-Hessian-vector product is computed by a forward-over-reverse sweep: a
-parameter tangent is carried through the forward pass and then through
+A model is a list of input branches whose outputs are concatenated and
+fed to a head. The student has an attribute branch and an embedding
+branch under a fusion layer and a classifier; the teacher has an
+attribute branch of the same shape, no embedding branch, and a
+classifier alone as its head. Every pass loops over the branches, so
+student and teacher share one implementation.
+
+The Hessian-vector product is computed by a forward-over-reverse sweep:
+a parameter tangent is carried through the forward pass and then through
 the explicit backward pass, yielding the directional derivative of the
 gradient without forming any Hessian.
 """
@@ -14,19 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distill import logits_loss, logits_loss_jvp
 from .numeric import (
-    DenseLayer,
     ShapeError,
+    adamw_init,
+    adamw_step,
     chain_backward,
+    chain_backward_jvp,
     chain_forward,
+    chain_forward_jvp,
     chain_params,
     init_dense,
-    layer_backward_jvp,
-    layer_forward_jvp,
     set_chain_params,
-    softmax,
-    softmax_cross_entropy,
-    softmax_jvp,
 )
 from .serial import read_layers, write_layers
 
@@ -49,83 +53,45 @@ def batch_arrays(samples):
     return attrs, embs, labels
 
 
-def _chain_forward_jvp(layers, dparams, x, dx):
-    caches = []
-    a, da = x, dx
-    for i, layer in enumerate(layers):
-        dW, db = dparams[2 * i], dparams[2 * i + 1]
-        a_next, da_next, z = layer_forward_jvp(layer, dW, db, a, da)
-        caches.append((a, da, z))
-        a, da = a_next, da_next
-    return a, da, caches
-
-
-def _chain_backward_jvp(layers, dparams, caches, upstream, dupstream):
-    grads = [None] * (2 * len(layers))
-    dgrads = [None] * (2 * len(layers))
-    g, dg = upstream, dupstream
-    for i in range(len(layers) - 1, -1, -1):
-        x, dx, z = caches[i]
-        (gw, gb, g_next), (dgw, dgb, dg_next) = layer_backward_jvp(
-            layers[i], dparams[2 * i], x, dx, g, dg, z
-        )
-        grads[2 * i] = gw
-        grads[2 * i + 1] = gb
-        dgrads[2 * i] = dgw
-        dgrads[2 * i + 1] = dgb
-        g, dg = g_next, dg_next
-    return grads, dgrads, g, dg
-
-
-def _grad_logits(logits, labels, kd):
-    """Mean-loss value and gradient at the logits; kd = (teacher_logits, alpha, tau)."""
-    ce_loss, ce_grad = softmax_cross_entropy(logits, labels)
-    if kd is None:
-        return ce_loss, ce_grad
-    teacher_logits, alpha, tau = kd
-    if alpha == 0.0:
-        return ce_loss, ce_grad
-    from .distill import kd_parts  # local import avoids a cycle
-
-    kl, kd_grad = kd_parts(logits, teacher_logits, tau)
-    loss = (1.0 - alpha) * ce_loss + alpha * tau * tau * kl
-    return loss, (1.0 - alpha) * ce_grad + alpha * kd_grad
-
-
-def _grad_logits_jvp(logits, dlogits, labels, kd):
-    """Tangent of _grad_logits' gradient in the direction dlogits."""
-    n = logits.shape[0]
-    p = softmax(logits)
-    dce = softmax_jvp(p, dlogits) / n
-    if kd is None:
-        return dce
-    teacher_logits, alpha, tau = kd
-    if alpha == 0.0:
-        return dce
-    qs = softmax(logits / tau)
-    dkd = softmax_jvp(qs, dlogits) / n  # tau * d(tau*(qs-qt)/n)/dz direction
-    return (1.0 - alpha) * dce + alpha * dkd
+def _concat(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 class FusionModel:
-    """attr branch (m -> h_a relu -> 128 relu) + emb branch (d' -> 128)
-    -> concat -> fusion (256 relu) -> classifier (n_classes)."""
+    """Branches -> concat -> head. The student: attr branch (m -> h_a relu
+    -> 128 relu) + emb branch (d' -> 128) -> fusion (256 relu) -> classifier
+    (n_classes)."""
 
-    def __init__(self, attr_branch, emb_branch, fusion, classifier):
+    MAGIC = FUS1_MAGIC
+    LAYOUT = (2, 1, 2)  # attr, emb and head layers in a checkpoint
+
+    def __init__(self, attr_branch, emb_branch, *head):
         self.attr_branch = list(attr_branch)
         self.emb_branch = list(emb_branch)
-        self.head = [fusion, classifier]
-        width = fusion.in_dim
-        if self.attr_branch[-1].out_dim + self.emb_branch[-1].out_dim != width:
-            raise ShapeError("branch output widths do not add up to fusion width")
+        self.head = list(head)
+        if not self.attr_branch or not self.head:
+            raise ShapeError("a model needs an attribute branch and a head")
+        if sum(b[-1].out_dim for b in self.branches) != self.head[0].in_dim:
+            raise ShapeError("branch output widths do not add up to the head input width")
+
+    @classmethod
+    def _assemble(cls, attr_branch, emb_branch, head):
+        model = cls.__new__(cls)
+        FusionModel.__init__(model, attr_branch, emb_branch, *head)
+        return model
 
     @property
-    def fusion(self):
-        return self.head[0]
+    def branches(self):
+        """The non-empty branches, fed (attrs, embs) in that order."""
+        return [b for b in (self.attr_branch, self.emb_branch) if b]
+
+    @property
+    def layers(self):
+        return self.attr_branch + self.emb_branch + self.head
 
     @property
     def classifier(self):
-        return self.head[1]
+        return self.head[-1]
 
     @property
     def n_classes(self) -> int:
@@ -139,99 +105,13 @@ class FusionModel:
     def emb_dim(self) -> int:
         return self.emb_branch[0].in_dim
 
-    def _split(self):
-        return self.attr_branch[-1].out_dim
-
-    def get_params(self):
-        return (chain_params(self.attr_branch) + chain_params(self.emb_branch)
-                + chain_params(self.head))
-
-    def set_params(self, params):
-        na = 2 * len(self.attr_branch)
-        ne = 2 * len(self.emb_branch)
-        set_chain_params(self.attr_branch, params[:na])
-        set_chain_params(self.emb_branch, params[na : na + ne])
-        set_chain_params(self.head, params[na + ne :])
-
-    def clone(self) -> "FusionModel":
-        return FusionModel(
-            [l.clone() for l in self.attr_branch],
-            [l.clone() for l in self.emb_branch],
-            self.head[0].clone(),
-            self.head[1].clone(),
-        )
-
-    def forward_cache(self, attrs, embs):
-        a, ca = chain_forward(self.attr_branch, attrs)
-        e, ce = chain_forward(self.emb_branch, embs)
-        h = np.concatenate([a, e], axis=1)
-        logits, ch = chain_forward(self.head, h)
-        return logits, (ca, ce, ch)
-
-    def forward(self, attrs, embs):
-        return self.forward_cache(attrs, embs)[0]
-
-    def backward(self, cache, grad_logits):
-        ca, ce, ch = cache
-        head_grads, gh = chain_backward(self.head, ch, grad_logits)
-        split = self._split()
-        attr_grads, _ = chain_backward(self.attr_branch, ca, gh[:, :split])
-        emb_grads, _ = chain_backward(self.emb_branch, ce, gh[:, split:])
-        return attr_grads + emb_grads + head_grads
-
-    def loss_and_grads(self, attrs, embs, labels, kd=None):
-        logits, cache = self.forward_cache(attrs, embs)
-        loss, gl = _grad_logits(logits, labels, kd)
-        return loss, self.backward(cache, gl)
-
-    def hvp(self, attrs, embs, labels, vec, kd=None):
-        """Hessian-vector product of the mean loss w.r.t. the parameters."""
-        na = 2 * len(self.attr_branch)
-        ne = 2 * len(self.emb_branch)
-        dpa, dpe, dph = vec[:na], vec[na : na + ne], vec[na + ne :]
-        a, da, ca = _chain_forward_jvp(self.attr_branch, dpa, attrs, np.zeros_like(attrs))
-        e, de, ce = _chain_forward_jvp(self.emb_branch, dpe, embs, np.zeros_like(embs))
-        h = np.concatenate([a, e], axis=1)
-        dh = np.concatenate([da, de], axis=1)
-        logits, dlogits, ch = _chain_forward_jvp(self.head, dph, h, dh)
-        _, gl = _grad_logits(logits, labels, kd)
-        dgl = _grad_logits_jvp(logits, dlogits, labels, kd)
-        _, dhead, gh, dgh = _chain_backward_jvp(self.head, dph, ch, gl, dgl)
-        split = self._split()
-        _, dattr, _, _ = _chain_backward_jvp(
-            self.attr_branch, dpa, ca, gh[:, :split], dgh[:, :split]
-        )
-        _, demb, _, _ = _chain_backward_jvp(
-            self.emb_branch, dpe, ce, gh[:, split:], dgh[:, split:]
-        )
-        return dattr + demb + dhead
-
-    def save(self, path) -> None:
-        write_layers(path, FUS1_MAGIC, self.attr_branch + self.emb_branch + self.head)
-
-    @classmethod
-    def load(cls, path) -> "FusionModel":
-        layers = read_layers(path, FUS1_MAGIC)
-        if len(layers) != 5:
-            raise ShapeError(f"expected 5 layers in checkpoint, got {len(layers)}")
-        return cls(layers[:2], [layers[2]], layers[3], layers[4])
-
-
-class TeacherModel:
-    """Attribute-only classifier: m -> h_a relu -> 128 relu -> n_classes."""
-
-    def __init__(self, attr_branch, classifier):
-        self.attr_branch = list(attr_branch)
-        self.classifier = classifier
-        self.layers = self.attr_branch + [classifier]
-
-    @property
-    def n_classes(self) -> int:
-        return self.classifier.out_dim
-
-    @property
-    def attr_dim(self) -> int:
-        return self.attr_branch[0].in_dim
+    def _cuts(self, params):
+        """Per-branch slices of a flat parameter list, then the head's."""
+        out, off = [], 0
+        for chain in self.branches + [self.head]:
+            out.append(params[off : off + 2 * len(chain)])
+            off += 2 * len(chain)
+        return out
 
     def get_params(self):
         return chain_params(self.layers)
@@ -239,43 +119,86 @@ class TeacherModel:
     def set_params(self, params):
         set_chain_params(self.layers, params)
 
-    def clone(self) -> "TeacherModel":
-        layers = [l.clone() for l in self.layers]
-        return TeacherModel(layers[:-1], layers[-1])
+    def clone(self) -> "FusionModel":
+        return self._assemble(
+            [l.clone() for l in self.attr_branch],
+            [l.clone() for l in self.emb_branch],
+            [l.clone() for l in self.head],
+        )
 
     def forward_cache(self, attrs, embs=None):
-        return chain_forward(self.layers, attrs)
+        outs, caches = [], []
+        for branch, x in zip(self.branches, (attrs, embs)):
+            a, c = chain_forward(branch, x)
+            outs.append(a)
+            caches.append(c)
+        logits, ch = chain_forward(self.head, _concat(outs))
+        return logits, (caches, ch)
 
     def forward(self, attrs, embs=None):
-        return self.forward_cache(attrs)[0]
+        return self.forward_cache(attrs, embs)[0]
 
     def backward(self, cache, grad_logits):
-        grads, _ = chain_backward(self.layers, cache, grad_logits)
-        return grads
+        caches, ch = cache
+        head_grads, gh = chain_backward(self.head, ch, grad_logits)
+        grads, off = [], 0
+        for branch, c in zip(self.branches, caches):
+            cols = slice(off, off + branch[-1].out_dim)
+            g, _ = chain_backward(branch, c, gh[:, cols])
+            grads += g
+            off = cols.stop
+        return grads + head_grads
 
     def loss_and_grads(self, attrs, embs, labels, kd=None):
-        logits, cache = self.forward_cache(attrs)
-        loss, gl = _grad_logits(logits, labels, kd)
+        logits, cache = self.forward_cache(attrs, embs)
+        loss, gl = logits_loss(logits, labels, kd)
         return loss, self.backward(cache, gl)
 
     def hvp(self, attrs, embs, labels, vec, kd=None):
-        logits, dlogits, caches = _chain_forward_jvp(
-            self.layers, vec, attrs, np.zeros_like(attrs)
-        )
-        _, gl = _grad_logits(logits, labels, kd)
-        dgl = _grad_logits_jvp(logits, dlogits, labels, kd)
-        _, dgrads, _, _ = _chain_backward_jvp(self.layers, vec, caches, gl, dgl)
-        return dgrads
+        """Hessian-vector product of the mean loss w.r.t. the parameters."""
+        *branch_vecs, head_vec = self._cuts(vec)
+        outs, touts, caches = [], [], []
+        for branch, x, dp in zip(self.branches, (attrs, embs), branch_vecs):
+            a, da, c = chain_forward_jvp(branch, dp, x, np.zeros_like(x))
+            outs.append(a)
+            touts.append(da)
+            caches.append(c)
+        logits, dlogits, ch = chain_forward_jvp(self.head, head_vec, _concat(outs), _concat(touts))
+        _, gl = logits_loss(logits, labels, kd)
+        dgl = logits_loss_jvp(logits, dlogits, kd)
+        _, dhead, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl)
+        dgrads, off = [], 0
+        for branch, dp, c in zip(self.branches, branch_vecs, caches):
+            cols = slice(off, off + branch[-1].out_dim)
+            _, d, _, _ = chain_backward_jvp(branch, dp, c, gh[:, cols], dgh[:, cols])
+            dgrads += d
+            off = cols.stop
+        return dgrads + dhead
 
     def save(self, path) -> None:
-        write_layers(path, TCH1_MAGIC, self.layers)
+        write_layers(path, self.MAGIC, self.layers)
 
     @classmethod
-    def load(cls, path) -> "TeacherModel":
-        layers = read_layers(path, TCH1_MAGIC)
-        if len(layers) != 3:
-            raise ShapeError(f"expected 3 layers in checkpoint, got {len(layers)}")
-        return cls(layers[:2], layers[2])
+    def load(cls, path) -> "FusionModel":
+        layers = read_layers(path, cls.MAGIC)
+        n_attr, n_emb, n_head = cls.LAYOUT
+        if len(layers) != n_attr + n_emb + n_head:
+            raise ShapeError(
+                f"expected {n_attr + n_emb + n_head} layers in checkpoint, got {len(layers)}"
+            )
+        return cls._assemble(
+            layers[:n_attr], layers[n_attr : n_attr + n_emb], layers[n_attr + n_emb :]
+        )
+
+
+class TeacherModel(FusionModel):
+    """Attribute-only classifier: m -> h_a relu -> 128 relu -> n_classes."""
+
+    MAGIC = TCH1_MAGIC
+    LAYOUT = (2, 0, 1)
+
+    def __init__(self, attr_branch, classifier):
+        super().__init__(attr_branch, [], classifier)
 
 
 ATTR_HIDDEN = 256  # attribute branch hidden width
@@ -311,8 +234,6 @@ def teacher_train(pool, n_classes: int, attr_dim: int, lr: float = 1e-3,
 
     Returns (teacher, accuracy trace per epoch).
     """
-    from .numeric import adamw_init, adamw_step
-
     if not pool:
         raise ValueError("empty training pool")
     teacher = init_teacher(attr_dim, n_classes, seed)

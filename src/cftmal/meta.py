@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Corpus
 from .fusion import MultimodalSample, batch_arrays
-from .numeric import adamw_init, adamw_step
+from .numeric import ShapeError, adamw_init, adamw_step
 
 
 @dataclass
@@ -50,7 +50,10 @@ class MamlConfig:
 
 
 def build_pool(corpus: Corpus, attributes) -> list:
-    """Pair refined embeddings with attribute vectors by record id."""
+    """Pair refined embeddings with attribute vectors by record id.
+
+    An attribute row must carry its record's family.
+    """
     attr_by_id = {a.id: a for a in attributes}
     classes = corpus.class_index()
     pool = []
@@ -58,6 +61,11 @@ def build_pool(corpus: Corpus, attributes) -> list:
         a = attr_by_id.get(r.id)
         if a is None:
             raise ValueError(f"record {r.id!r} has no attribute row")
+        if a.family != r.family:
+            raise ValueError(
+                f"record {r.id!r}: attribute row family {a.family!r} "
+                f"!= embedding family {r.family!r}"
+            )
         pool.append(MultimodalSample(r.id, a.attributes, r.vector, classes[r.family]))
     return pool
 
@@ -210,8 +218,19 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
 
 
 def maml_train(model, pool, cfg: MamlConfig, teacher=None, kd_cfg=None):
-    """Full episodic training loop; returns (model, per-iteration metrics)."""
+    """Full episodic training loop; returns (model, per-iteration metrics).
+
+    With a teacher and kd_cfg, the teacher's soft labels are mixed into
+    the inner/outer losses per kd_cfg.apply_in.
+    """
     cfg.validate()
+    if kd_cfg is not None:
+        kd_cfg.validate()
+        if teacher is not None and teacher.n_classes != model.n_classes:
+            raise ShapeError(
+                f"class count mismatch: teacher {teacher.n_classes}, "
+                f"student {model.n_classes}"
+            )
     opt_state = None
     history = []
     for it in range(cfg.meta_iterations):

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cft, mining
-from .data import Corpus, generate_synthetic, split_meta
-from .distill import KdConfig, distilled_training
+from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta
+from .distill import KdConfig
 from .fusion import init_fusion, init_teacher, teacher_train
-from .meta import MamlConfig, build_pool, evaluate_few_shot
+from .meta import MamlConfig, build_pool, evaluate_few_shot, maml_train
 from .similarity import normalize_rows
 
 METHODS = ("attributes_only", "pretrained_embeddings", "random_cft", "similarity_cft")
@@ -215,7 +215,7 @@ def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSett
     try:
         if method == "attributes_only":
             student = init_teacher(train_pool[0].attributes.shape[0], n_classes, seed)
-            student, _ = distilled_training(student, None, mamlcfg, None, train_pool)
+            student, _ = maml_train(student, train_pool, mamlcfg)
             teacher = None
             kd = None
         else:
@@ -226,7 +226,7 @@ def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSett
             )
             student = init_fusion(attr_dim, train_c.dim, n_classes, seed)
             kd = settings.kd
-            student, _ = distilled_training(student, teacher, mamlcfg, kd, train_pool)
+            student, _ = maml_train(student, train_pool, mamlcfg, teacher=teacher, kd_cfg=kd)
     except Exception as exc:
         raise PipelineStageError("maml", exc) from exc
 
@@ -283,8 +283,6 @@ def ablation_to_csv(path, report: AblationReport) -> None:
 
 def benchmark_data(seed: int):
     """The bundled desk-scale benchmark: 10 families, overlap 0.7."""
-    from .data import SyntheticSpec
-
     spec = SyntheticSpec(
         n_families=10,
         records_per_family=200,

@@ -25,15 +25,6 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 @dataclass
 class DenseLayer:
     """Fully connected layer: activation(x @ W.T + b)."""
@@ -272,3 +263,38 @@ def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Directional derivative of row-wise softmax(z) given p = softmax(z)."""
     inner = (p * dz).sum(axis=1, keepdims=True)
     return p * (dz - inner)
+
+
+def chain_forward_jvp(layers, dparams, x, dx):
+    """chain_forward carrying a tangent: dparams is a flat [dW0, db0, ...]
+    list and dx the input tangent. Returns (output, output tangent, caches)."""
+    caches = []
+    a, da = x, dx
+    for i, layer in enumerate(layers):
+        dW, db = dparams[2 * i], dparams[2 * i + 1]
+        a_next, da_next, z = layer_forward_jvp(layer, dW, db, a, da)
+        caches.append((a, da, z))
+        a, da = a_next, da_next
+    return a, da, caches
+
+
+def chain_backward_jvp(layers, dparams, caches, upstream, dupstream):
+    """chain_backward carrying a tangent.
+
+    Returns (grads, grad tangents, grad_input, grad_input tangent), the
+    first two flat [W0, b0, W1, b1, ...] lists as in chain_backward.
+    """
+    grads = [None] * (2 * len(layers))
+    dgrads = [None] * (2 * len(layers))
+    g, dg = upstream, dupstream
+    for i in range(len(layers) - 1, -1, -1):
+        x, dx, z = caches[i]
+        (gw, gb, g_next), (dgw, dgb, dg_next) = layer_backward_jvp(
+            layers[i], dparams[2 * i], x, dx, g, dg, z
+        )
+        grads[2 * i] = gw
+        grads[2 * i + 1] = gb
+        dgrads[2 * i] = dgw
+        dgrads[2 * i + 1] = dgb
+        g, dg = g_next, dg_next
+    return grads, dgrads, g, dg

@@ -48,4 +48,8 @@ def read_layers(path, magic: bytes):
         b = np.frombuffer(raw[off + 4 * n_w : end], dtype="<f4")
         off = end
         layers.append(DenseLayer(w.astype(np.float64), b.astype(np.float64), ACTIVATIONS[act]))
+    if off != len(raw):
+        raise FormatError(
+            f"{path}: trailing bytes: layers end at byte {off}, file is {len(raw)} bytes"
+        )
     return layers

@@ -1,9 +1,8 @@
-"""Cosine similarity, mean pooling and pairwise similarity matrices."""
+"""Cosine similarity and row normalization."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,13 +11,6 @@ from .numeric import ShapeError
 
 class ZeroNormWarning(UserWarning):
     """A zero-norm vector entered a cosine computation; similarity is 0."""
-
-
-@dataclass
-class SimilarityMatrix:
-    row_ids: list
-    col_ids: list
-    values: np.ndarray  # (len(row_ids), len(col_ids)) cosines in [-1, 1]
 
 
 def cosine_similarity(a, b) -> float:
@@ -35,14 +27,6 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
-def mean_pool(hidden_states) -> np.ndarray:
-    """Column-wise mean of a T x d matrix of hidden states."""
-    h = np.asarray(hidden_states, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ShapeError(f"expected nonempty 2-D matrix, got shape {h.shape}")
-    return h.mean(axis=0)
-
-
 def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalize rows; zero rows stay zero. Returns (normed, zero_mask)."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -50,20 +34,3 @@ def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     safe = np.where(norms == 0.0, 1.0, norms)
     return m / safe, zero
 
-
-def pairwise_similarity(queries, keys, row_ids=None, col_ids=None) -> SimilarityMatrix:
-    """Exact cosine similarity between every query and every key."""
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"dim mismatch: queries {q.shape}, keys {k.shape}")
-    qn, qz = normalize_rows(q)
-    kn, kz = normalize_rows(k)
-    if qz.any() or kz.any():
-        warnings.warn("zero-norm vector in pairwise_similarity", ZeroNormWarning)
-    values = np.clip(qn @ kn.T, -1.0, 1.0)
-    if row_ids is None:
-        row_ids = list(range(q.shape[0]))
-    if col_ids is None:
-        col_ids = list(range(k.shape[0]))
-    return SimilarityMatrix(list(row_ids), list(col_ids), values)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cftmal.data import SyntheticSpec, generate_synthetic
-from cftmal.distill import KdConfig, distilled_training, kd_loss, kd_parts
+from cftmal.distill import KdConfig, kd_loss, kd_parts
 from cftmal.fusion import init_fusion, init_teacher
-from cftmal.meta import MamlConfig, build_pool
+from cftmal.meta import MamlConfig, build_pool, maml_train
 from cftmal.numeric import ShapeError, softmax_cross_entropy
 
 
@@ -96,8 +96,8 @@ def test_distilled_training_rejects_class_mismatch():
     student = init_fusion(4, d, n_classes, seed=0)
     teacher = init_teacher(4, n_classes + 1, seed=1)
     with pytest.raises(ShapeError, match="class count"):
-        distilled_training(student, teacher, MamlConfig(meta_iterations=1),
-                           KdConfig(), pool)
+        maml_train(student, pool, MamlConfig(meta_iterations=1),
+                   teacher=teacher, kd_cfg=KdConfig())
 
 
 def test_distilled_training_runs_and_matches_plain_when_alpha_zero():
@@ -107,10 +107,10 @@ def test_distilled_training_runs_and_matches_plain_when_alpha_zero():
     teacher = init_teacher(4, n_classes, seed=1)
 
     student_a = init_fusion(4, d, n_classes, seed=2)
-    a, hist_a = distilled_training(student_a, teacher, cfg, KdConfig(alpha=0.0), pool)
+    a, hist_a = maml_train(student_a, pool, cfg, teacher=teacher, kd_cfg=KdConfig(alpha=0.0))
 
     student_b = init_fusion(4, d, n_classes, seed=2)
-    b, hist_b = distilled_training(student_b, None, cfg, None, pool)
+    b, hist_b = maml_train(student_b, pool, cfg)
 
     for pa, pb in zip(a.get_params(), b.get_params()):
         np.testing.assert_array_equal(pa, pb)
@@ -124,10 +124,10 @@ def test_distilled_training_teacher_changes_trajectory():
     teacher = init_teacher(4, n_classes, seed=1)
 
     student_a = init_fusion(4, d, n_classes, seed=3)
-    a, _ = distilled_training(student_a, teacher, cfg, KdConfig(alpha=0.5), pool)
+    a, _ = maml_train(student_a, pool, cfg, teacher=teacher, kd_cfg=KdConfig(alpha=0.5))
 
     student_b = init_fusion(4, d, n_classes, seed=3)
-    b, _ = distilled_training(student_b, None, cfg, None, pool)
+    b, _ = maml_train(student_b, pool, cfg)
 
     assert any(
         not np.array_equal(pa, pb) for pa, pb in zip(a.get_params(), b.get_params())

@@ -69,9 +69,10 @@ def test_fusion_grads_match_fd():
         assert np.abs(g - f).max() < 1e-5 * max(1.0, np.abs(f).max())
 
 
-def test_fusion_hvp_matches_fd_of_gradient():
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_fusion_hvp_matches_fd_of_gradient(kind):
     rng = np.random.default_rng(2)
-    model = tiny_fusion(rng)
+    model = tiny_fusion(rng) if kind == "student" else init_teacher(3, 3, seed=2)
     attrs = rng.standard_normal((5, 3))
     embs = rng.standard_normal((5, 5))
     labels = rng.integers(0, 3, 5)

@@ -1,0 +1,35 @@
+import ast
+from pathlib import Path
+
+import cftmal
+
+PACKAGE = Path(cftmal.__file__).parent
+
+
+def _sibling_imports_in_functions(tree):
+    """(function name, line) of every package-internal import inside a function body."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "cftmal"
+            ):
+                found.append((fn.name, node.lineno))
+            elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "cftmal" for a in node.names
+            ):
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_no_function_local_sibling_imports():
+    """Package modules import each other at module level only, so the
+    import graph is visible and free of cycles broken at run time."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.stem}.{name}:{line}"
+                      for name, line in _sibling_imports_in_functions(tree)]
+    assert offenders == []

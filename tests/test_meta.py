@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cftmal.data import SyntheticSpec, generate_synthetic
+from cftmal.data import AttributeRecord, SyntheticSpec, generate_synthetic
 from cftmal.fusion import batch_arrays, init_fusion
 from cftmal.meta import (
     Episode,
@@ -37,6 +37,17 @@ def test_build_pool_missing_attribute():
     corpus, attrs = generate_synthetic(spec)
     with pytest.raises(ValueError, match="no attribute row"):
         build_pool(corpus, attrs[:-1])
+
+
+def test_build_pool_rejects_family_mismatch():
+    spec = SyntheticSpec(n_families=2, records_per_family=30, embedding_dim=8,
+                         attribute_dim=4, seed=1)
+    corpus, attrs = generate_synthetic(spec)
+    other = next(f for f in corpus.families if f != attrs[3].family)
+    attrs[3] = AttributeRecord(attrs[3].id, other, attrs[3].attributes)
+    with pytest.raises(ValueError, match=f"record {attrs[3].id!r}: attribute row family "
+                                         f"{other!r} != embedding family"):
+        build_pool(corpus, attrs)
 
 
 def test_sample_episode_structure_and_determinism():

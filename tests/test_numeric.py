@@ -13,7 +13,6 @@ from cftmal.numeric import (
     init_dense,
     layer_backward,
     layer_forward,
-    matmul,
     set_chain_params,
     softmax,
     softmax_cross_entropy,
@@ -41,16 +40,6 @@ def fd_grad(f, x, h=H):
 def rel_err(a, b):
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
-
-
-def test_matmul_shapes():
-    a = np.ones((2, 3))
-    b = np.ones((3, 4))
-    assert matmul(a, b).shape == (2, 4)
-    with pytest.raises(ShapeError):
-        matmul(a, np.ones((2, 4)))
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), b)
 
 
 def test_dense_layer_validation():

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.numeric import ShapeError
-from cftmal.similarity import (
-    ZeroNormWarning,
-    cosine_similarity,
-    mean_pool,
-    normalize_rows,
-    pairwise_similarity,
-)
+from cftmal.similarity import ZeroNormWarning, cosine_similarity, normalize_rows
 
 
 def test_cosine_known_values():
@@ -28,13 +22,6 @@ def test_cosine_shape_mismatch():
         cosine_similarity([1, 2], [1, 2, 3])
 
 
-def test_mean_pool():
-    h = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_allclose(mean_pool(h), [3.0, 4.0])
-    with pytest.raises(ShapeError):
-        mean_pool(np.zeros((0, 3)))
-
-
 def test_normalize_rows_flags_zero_rows():
     m = np.array([[3.0, 4.0], [0.0, 0.0]])
     normed, zero = normalize_rows(m)
@@ -42,26 +29,3 @@ def test_normalize_rows_flags_zero_rows():
     np.testing.assert_array_equal(normed[1], [0.0, 0.0])
     assert zero.tolist() == [False, True]
 
-
-def test_pairwise_matches_scalar_cosine():
-    rng = np.random.default_rng(11)
-    q = rng.standard_normal((4, 6))
-    k = rng.standard_normal((5, 6))
-    sm = pairwise_similarity(q, k, row_ids=list("abcd"), col_ids=list("vwxyz"))
-    assert sm.values.shape == (4, 5)
-    assert sm.row_ids == list("abcd")
-    for i in range(4):
-        for j in range(5):
-            assert sm.values[i, j] == pytest.approx(cosine_similarity(q[i], k[j]))
-
-
-def test_pairwise_values_clipped():
-    v = np.array([[1.0, 1.0]])
-    sm = pairwise_similarity(v, v)
-    assert sm.values[0, 0] <= 1.0
-
-
-def test_pairwise_zero_rows_warn():
-    with pytest.warns(ZeroNormWarning):
-        sm = pairwise_similarity(np.zeros((1, 3)), np.ones((1, 3)))
-    assert sm.values[0, 0] == 0.0
