@@ -203,7 +203,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig, head: AdapterHead | N
             else:
                 loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
-            grads, _ = chain_backward(head.layers, caches, upstream)
+            grads, _ = chain_backward(head.layers, caches, upstream, input_grad=False)
             params = adamw_step(opt, params, grads)
             set_chain_params(head.layers, params)
             trace.append((batch_index, loss))

@@ -68,6 +68,10 @@ def _load_config(path) -> dict:
     return merged
 
 
+class ConfigError(ValueError):
+    """A config file value does not parse as its option's type."""
+
+
 def _get(args, cfg, dest, default):
     """Flag value if given, else config value, else default (typed)."""
     v = getattr(args, dest, None)
@@ -77,10 +81,14 @@ def _get(args, cfg, dest, default):
         raw = cfg[dest]
         if isinstance(default, bool):
             return raw.strip().lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        for kind in (int, float):
+            if isinstance(default, kind):
+                try:
+                    return kind(raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"{dest} = {raw!r} is not a valid {kind.__name__}"
+                    ) from None
         return raw
     return default
 
@@ -437,6 +445,9 @@ def main(argv=None) -> int:
             return 2
     try:
         COMMANDS[args.command](args, cfg)
+    except ConfigError as exc:
+        print(f"cftmal {args.command}: config error: {args.config}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, metrics.PipelineStageError) as exc:
         print(f"cftmal {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -40,11 +40,15 @@ class Corpus:
     def __post_init__(self):
         if not self.families:
             self.families = sorted({r.family for r in self.records})
-        for r in self.records:
+        rows = {}
+        for i, r in enumerate(self.records):
             if r.vector.shape != (self.dim,):
                 raise FormatError(
                     f"record {r.id!r}: dim {r.vector.shape[0]} != corpus dim {self.dim}"
                 )
+            first = rows.setdefault(r.id, i)
+            if first != i:
+                raise FormatError(f"duplicate record id {r.id!r} at rows {first} and {i}")
 
     def __len__(self):
         return len(self.records)
@@ -294,11 +298,15 @@ def split_meta(corpus: Corpus, attributes, holdout_fraction: float, seed: int):
     """Stratified per-family split into (train pool, meta-test pool).
 
     Each pool is a (Corpus, attribute records) pair; record ids in the two
-    pools are disjoint and their union is the input.
+    pools are disjoint and their union is the input. Every record needs an
+    attribute row.
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in [0, 1)")
     attr_by_id = {a.id: a for a in attributes}
+    for r in corpus.records:
+        if r.id not in attr_by_id:
+            raise ValueError(f"record {r.id!r} has no attribute row")
     rng = np.random.default_rng(seed)
     train_recs, test_recs = [], []
     for fam in corpus.families:
@@ -316,7 +324,7 @@ def split_meta(corpus: Corpus, attributes, holdout_fraction: float, seed: int):
 
     def pool(recs):
         c = Corpus(recs, corpus.dim, families=list(corpus.families))
-        attrs = [attr_by_id[r.id] for r in recs if r.id in attr_by_id]
+        attrs = [attr_by_id[r.id] for r in recs]
         return c, attrs
 
     return pool(train_recs), pool(test_recs)

@@ -144,15 +144,20 @@ class FusionModel:
         grads, off = [], 0
         for branch, c in zip(self.branches, caches):
             cols = slice(off, off + branch[-1].out_dim)
-            g, _ = chain_backward(branch, c, gh[:, cols])
+            g, _ = chain_backward(branch, c, gh[:, cols], input_grad=False)
             grads += g
             off = cols.stop
         return grads + head_grads
 
-    def loss_and_grads(self, attrs, embs, labels, kd=None):
+    def loss_grads_logits(self, attrs, embs, labels, kd=None):
+        """One forward/backward pass: (mean loss, gradients, logits)."""
         logits, cache = self.forward_cache(attrs, embs)
         loss, gl = logits_loss(logits, labels, kd)
-        return loss, self.backward(cache, gl)
+        return loss, self.backward(cache, gl), logits
+
+    def loss_and_grads(self, attrs, embs, labels, kd=None):
+        loss, grads, _ = self.loss_grads_logits(attrs, embs, labels, kd)
+        return loss, grads
 
     def hvp(self, attrs, embs, labels, vec, kd=None):
         """Hessian-vector product of the mean loss w.r.t. the parameters."""
@@ -166,11 +171,11 @@ class FusionModel:
         logits, dlogits, ch = chain_forward_jvp(self.head, head_vec, _concat(outs), _concat(touts))
         _, gl = logits_loss(logits, labels, kd)
         dgl = logits_loss_jvp(logits, dlogits, kd)
-        _, dhead, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl)
+        dhead, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl)
         dgrads, off = [], 0
         for branch, dp, c in zip(self.branches, branch_vecs, caches):
             cols = slice(off, off + branch[-1].out_dim)
-            _, d, _, _ = chain_backward_jvp(branch, dp, c, gh[:, cols], dgh[:, cols])
+            d, _, _ = chain_backward_jvp(branch, dp, c, gh[:, cols], dgh[:, cols], input_grad=False)
             dgrads += d
             off = cols.stop
         return dgrads + dhead

@@ -98,6 +98,32 @@ def _axpy(params, grads, scale):
     return [p + scale * g for p, g in zip(params, grads)]
 
 
+def _support_batch(support, teacher, kd_cfg):
+    """Stacked (attrs, embs, labels) of a support set and its inner-loop KD."""
+    if not support:
+        raise ValueError("empty support set")
+    attrs, embs, labels = batch_arrays(support)
+    return attrs, embs, labels, _kd_tuple(teacher, kd_cfg, attrs, where="inner")
+
+
+def _adapt(model, batch, inner_steps: int, inner_lr: float):
+    """SGD-adapt a copy of the model on a _support_batch.
+
+    Returns (adapted model, support loss before each step): one pass per
+    step and none after the last.
+    """
+    attrs, embs, labels, kd = batch
+    adapted = model.clone()
+    params = adapted.get_params()
+    losses = []
+    for _ in range(inner_steps):
+        loss, grads = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
+        losses.append(loss)
+        params = _axpy(params, grads, -inner_lr)
+        adapted.set_params(params)
+    return adapted, losses
+
+
 def inner_adapt(model, support, inner_steps: int, inner_lr: float,
                 teacher=None, kd_cfg=None):
     """SGD-adapt a copy of the model on the support set.
@@ -105,21 +131,11 @@ def inner_adapt(model, support, inner_steps: int, inner_lr: float,
     Returns (adapted model, support-loss trace of length inner_steps + 1).
     The input model is left untouched.
     """
-    if not support:
-        raise ValueError("empty support set")
-    attrs, embs, labels = batch_arrays(support)
-    kd = _kd_tuple(teacher, kd_cfg, attrs, where="inner")
-    adapted = model.clone()
-    params = adapted.get_params()
-    trace = []
-    for _ in range(inner_steps):
-        loss, grads = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
-        trace.append(loss)
-        params = _axpy(params, grads, -inner_lr)
-        adapted.set_params(params)
+    batch = _support_batch(support, teacher, kd_cfg)
+    adapted, trace = _adapt(model, batch, inner_steps, inner_lr)
+    attrs, embs, labels, kd = batch
     final_loss, _ = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
-    trace.append(final_loss)
-    return adapted, trace
+    return adapted, trace + [final_loss]
 
 
 def _kd_tuple(teacher, kd_cfg, attrs, where: str):
@@ -152,41 +168,37 @@ def second_order_meta_gradient(theta0, support_grad_fn, support_hvp_fn,
 
 
 def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cfg):
-    s_attrs, s_embs, s_labels = batch_arrays(episode.support)
+    support = _support_batch(episode.support, teacher, kd_cfg)
     q_attrs, q_embs, q_labels = batch_arrays(episode.query)
-    kd_inner = _kd_tuple(teacher, kd_cfg, s_attrs, where="inner")
     kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
-    work = model.clone()
-
-    def support_grad(params):
-        work.set_params(params)
-        _, g = work.loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
-        return g
-
-    def support_hvp(params, vec):
-        work.set_params(params)
-        return work.hvp(s_attrs, s_embs, s_labels, vec, kd=kd_inner)
-
-    def query_grad(params):
-        work.set_params(params)
-        _, g = work.loss_and_grads(q_attrs, q_embs, q_labels, kd=kd_outer)
-        return g
-
-    theta0 = model.get_params()
     if cfg.order == "second":
-        meta_grad, theta_k = second_order_meta_gradient(
-            theta0, support_grad, support_hvp, query_grad,
+        s_attrs, s_embs, s_labels, kd_inner = support
+        work = model.clone()
+        query = {}
+
+        def support_grad(params):
+            work.set_params(params)
+            _, g = work.loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
+            return g
+
+        def support_hvp(params, vec):
+            work.set_params(params)
+            return work.hvp(s_attrs, s_embs, s_labels, vec, kd=kd_inner)
+
+        def query_grad(params):
+            work.set_params(params)
+            query["loss"], g, query["logits"] = work.loss_grads_logits(
+                q_attrs, q_embs, q_labels, kd=kd_outer)
+            return g
+
+        meta_grad, _ = second_order_meta_gradient(
+            model.get_params(), support_grad, support_hvp, query_grad,
             cfg.inner_steps, cfg.inner_lr,
         )
+        q_loss, logits = query["loss"], query["logits"]
     else:
-        theta = list(theta0)
-        for _ in range(cfg.inner_steps):
-            theta = _axpy(theta, support_grad(theta), -cfg.inner_lr)
-        meta_grad = query_grad(theta)
-        theta_k = theta
-    work.set_params(theta_k)
-    logits = work.forward(q_attrs, q_embs)
-    q_loss, _ = work.loss_and_grads(q_attrs, q_embs, q_labels, kd=kd_outer)
+        adapted, _ = _adapt(model, support, cfg.inner_steps, cfg.inner_lr)
+        q_loss, meta_grad, logits = adapted.loss_grads_logits(q_attrs, q_embs, q_labels, kd=kd_outer)
     q_acc = float(np.mean(logits.argmax(axis=1) == q_labels))
     return meta_grad, q_loss, q_acc
 
@@ -266,9 +278,9 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
         accs = []
         for e in range(n_episodes):
             ep = sample_episode(pool, ep_cfg, seed=_derive_seed(cfg.seed, 0xEFA1, size, e))
-            adapted, _ = inner_adapt(
-                model, ep.support, cfg.inner_steps, cfg.inner_lr,
-                teacher=teacher, kd_cfg=kd_cfg,
+            adapted, _ = _adapt(
+                model, _support_batch(ep.support, teacher, kd_cfg),
+                cfg.inner_steps, cfg.inner_lr,
             )
             attrs, embs, labels = batch_arrays(ep.query)
             preds = adapted.forward(attrs, embs).argmax(axis=1)

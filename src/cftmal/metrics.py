@@ -36,23 +36,36 @@ def _pair_means(sims: np.ndarray, labels: np.ndarray):
     return intra, inter
 
 
-def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray) -> float:
-    """Exact silhouette with distance 1 - cosine; degenerate points score 0."""
-    normed, _ = normalize_rows(vectors)
-    dist = 1.0 - normed @ normed.T
-    uniq = np.unique(labels)
+def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray | None = None) -> float:
+    """Exact silhouette with distance 1 - cosine; degenerate points score 0.
+
+    `sims` may carry the cosine Gram matrix of `vectors` when the caller
+    already has it. Per-class distance sums come from one GEMM with the
+    one-hot label matrix; a point's own distance is taken out of its
+    class sum.
+    """
+    labels = np.asarray(labels)
+    classes, inv = np.unique(labels, return_inverse=True)
+    if len(classes) < 2:
+        raise ValueError(f"silhouette needs at least 2 labels, got {len(classes)}")
+    if sims is None:
+        normed, _ = normalize_rows(vectors)
+        sims = normed @ normed.T
+    dist = 1.0 - sims
     n = len(labels)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        same = (labels == own) & (np.arange(n) != i)
-        if not same.any():
-            continue  # singleton cluster: score 0
-        a = dist[i, same].mean()
-        b = min(dist[i, labels == other].mean() for other in uniq if other != own)
-        denom = max(a, b)
-        if denom > 0.0:
-            scores[i] = (b - a) / denom
+    rows = np.arange(n)
+    onehot = np.zeros((n, len(classes)))
+    onehot[rows, inv] = 1.0
+    sums = dist @ onehot  # (n, classes): summed distance to each class
+    sizes = onehot.sum(axis=0)
+    own = sizes[inv] - 1.0  # same-class points other than the point itself
+    a = (sums[rows, inv] - dist[rows, rows]) / np.maximum(own, 1.0)
+    means = sums / sizes
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    ok = (own > 0) & (denom > 0.0)  # singleton clusters and a = b = 0 score 0
+    scores = np.where(ok, (b - a) / np.where(ok, denom, 1.0), 0.0)
     return float(scores.mean())
 
 
@@ -85,7 +98,7 @@ def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
         intra_family=intra,
         inter_family=inter,
         gap=intra - inter,
-        silhouette=cosine_silhouette(vectors, labels),
+        silhouette=cosine_silhouette(vectors, labels, sims=sims),
         per_family=per_family,
     )
 

@@ -82,11 +82,13 @@ def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     return _activate(_preactivation(layer, x), layer.activation)
 
 
-def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np.ndarray | None = None):
+def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np.ndarray | None = None,
+                   input_grad: bool = True):
     """Gradients of layer_forward.
 
     Returns (grad_weights, grad_bias, grad_input). `z` may carry the
-    cached pre-activation from the forward pass.
+    cached pre-activation from the forward pass; with input_grad False
+    the input gradient is not computed and comes back as None.
     """
     x = _as_matrix(x, "x")
     upstream = _as_matrix(upstream, "upstream")
@@ -100,7 +102,7 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
         dz = upstream * (z > 0.0)
     else:
         dz = upstream
-    return dz.T @ x, dz.sum(axis=0), dz @ layer.weights
+    return dz.T @ x, dz.sum(axis=0), (dz @ layer.weights if input_grad else None)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -186,13 +188,17 @@ def chain_forward(layers, x):
     return a, caches
 
 
-def chain_backward(layers, caches, upstream):
-    """Gradients of a layer stack: ([gW0, gb0, gW1, gb1, ...], grad_input)."""
+def chain_backward(layers, caches, upstream, input_grad: bool = True):
+    """Gradients of a layer stack: ([gW0, gb0, gW1, gb1, ...], grad_input).
+
+    With input_grad False the first layer's input gradient is skipped and
+    grad_input is None.
+    """
     grads = [None] * (2 * len(layers))
     g = upstream
     for i in range(len(layers) - 1, -1, -1):
         x, z = caches[i]
-        gw, gb, g = layer_backward(layers[i], x, g, z=z)
+        gw, gb, g = layer_backward(layers[i], x, g, z=z, input_grad=input_grad or i > 0)
         grads[2 * i] = gw
         grads[2 * i + 1] = gb
     return grads, g
@@ -237,11 +243,14 @@ def layer_forward_jvp(layer: DenseLayer, dW: np.ndarray, db: np.ndarray, x: np.n
     return z, dz, z
 
 
-def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z):
-    """Tangent-carrying backward pass.
+def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: bool = True):
+    """Tangents of layer_backward's gradients, plus the input gradient.
 
-    Returns ((gW, gb, gx), (dgW, dgb, dgx)). The relu mask is treated as
-    locally constant (its derivative is zero almost everywhere).
+    Returns ((dgW, dgb), gx, dgx): the tangents of the weight and bias
+    gradients, the input gradient and its tangent. The value weight and
+    bias gradients are not computed. With input_grad False, gx and dgx
+    are None. The relu mask is treated as locally constant (its
+    derivative is zero almost everywhere).
     """
     if layer.activation == "relu":
         mask = z > 0.0
@@ -250,13 +259,11 @@ def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z):
     else:
         dz = upstream
         ddz = dupstream
-    gW = dz.T @ x
-    gb = dz.sum(axis=0)
-    gx = dz @ layer.weights
     dgW = ddz.T @ x + dz.T @ dx
     dgb = ddz.sum(axis=0)
-    dgx = ddz @ layer.weights + dz @ dW
-    return (gW, gb, gx), (dgW, dgb, dgx)
+    if not input_grad:
+        return (dgW, dgb), None, None
+    return (dgW, dgb), dz @ layer.weights, ddz @ layer.weights + dz @ dW
 
 
 def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -278,23 +285,22 @@ def chain_forward_jvp(layers, dparams, x, dx):
     return a, da, caches
 
 
-def chain_backward_jvp(layers, dparams, caches, upstream, dupstream):
-    """chain_backward carrying a tangent.
+def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad: bool = True):
+    """Tangents of chain_backward's gradients.
 
-    Returns (grads, grad tangents, grad_input, grad_input tangent), the
-    first two flat [W0, b0, W1, b1, ...] lists as in chain_backward.
+    Returns (grad tangents, grad_input, grad_input tangent), the first a
+    flat [dW0, db0, dW1, db1, ...] list. The value gradients are not
+    computed: a Hessian-vector product needs only their tangents. With
+    input_grad False the first layer's input gradient and its tangent
+    are skipped and come back as None.
     """
-    grads = [None] * (2 * len(layers))
     dgrads = [None] * (2 * len(layers))
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):
         x, dx, z = caches[i]
-        (gw, gb, g_next), (dgw, dgb, dg_next) = layer_backward_jvp(
-            layers[i], dparams[2 * i], x, dx, g, dg, z
+        (dgw, dgb), g, dg = layer_backward_jvp(
+            layers[i], dparams[2 * i], x, dx, g, dg, z, input_grad=input_grad or i > 0
         )
-        grads[2 * i] = gw
-        grads[2 * i + 1] = gb
         dgrads[2 * i] = dgw
         dgrads[2 * i + 1] = dgb
-        g, dg = g_next, dg_next
-    return grads, dgrads, g, dg
+    return dgrads, g, dg

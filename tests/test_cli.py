@@ -69,6 +69,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_mistyped_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.ini"
+    cfg.write_text("[synth]\nfamilies = ten\n")
+    code = run("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err
+    assert "families = 'ten'" in err and str(cfg) in err
+
+
 def test_full_chain_small(tmp_path, capsys):
     out = tmp_path / "full"
     common = ["--out", str(out), "--seed", "3"]

@@ -40,6 +40,14 @@ def test_corpus_dim_mismatch():
         Corpus([rec], 4)
 
 
+def test_corpus_rejects_duplicate_ids():
+    rng = np.random.default_rng(0)
+    records = small_corpus(rng).records
+    records[4] = DescriptionRecord("r1", "fam0", records[4].vector)
+    with pytest.raises(FormatError, match="duplicate record id 'r1' at rows 1 and 4"):
+        Corpus(records, 4)
+
+
 def test_emb1_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     corpus = small_corpus(rng)
@@ -184,3 +192,12 @@ def test_split_meta_fraction_validated():
     corpus, attrs = generate_synthetic(spec)
     with pytest.raises(ValueError):
         split_meta(corpus, attrs, 1.0, seed=0)
+
+
+def test_split_meta_rejects_record_without_attributes():
+    spec = SyntheticSpec(n_families=2, records_per_family=40, embedding_dim=8, seed=1)
+    corpus, attrs = generate_synthetic(spec)
+    missing = corpus.records[7].id
+    attrs = [a for a in attrs if a.id != missing]
+    with pytest.raises(ValueError, match=f"record {missing!r} has no attribute row"):
+        split_meta(corpus, attrs, 0.25, seed=0)

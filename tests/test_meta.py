@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.data import AttributeRecord, SyntheticSpec, generate_synthetic
-from cftmal.fusion import batch_arrays, init_fusion
+from cftmal.fusion import FusionModel, batch_arrays, init_fusion
 from cftmal.meta import (
     Episode,
     MamlConfig,
@@ -13,6 +13,7 @@ from cftmal.meta import (
     meta_step,
     sample_episode,
     second_order_meta_gradient,
+    _task_meta_gradient,
 )
 
 
@@ -96,6 +97,40 @@ def test_inner_adapt_never_mutates_shared_init():
     )
 
 
+def count_passes(monkeypatch):
+    """Count model forward passes (every loss_and_grads, forward and query
+    pass goes through forward_cache; hvp does not)."""
+    calls = []
+    real = FusionModel.forward_cache
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusionModel, "forward_cache", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_task_does_one_query_pass(monkeypatch, order):
+    pool, n_classes, d = make_pool()
+    model = init_fusion(4, d, n_classes, seed=2)
+    cfg = MamlConfig(order=order, inner_steps=3, inner_lr=0.05)
+    ep = sample_episode(pool, cfg, seed=5)
+    calls = count_passes(monkeypatch)
+    _task_meta_gradient(model, ep, cfg, None, None)
+    assert len(calls) == cfg.inner_steps + 1
+
+
+def test_eval_episode_skips_final_support_pass(monkeypatch):
+    pool, n_classes, d = make_pool(per_family=60)
+    model = init_fusion(4, d, n_classes, seed=6)
+    cfg = MamlConfig(inner_steps=3, inner_lr=0.05, seed=10)
+    calls = count_passes(monkeypatch)
+    evaluate_few_shot(model, pool, cfg, n_episodes=2)
+    assert len(calls) == 2 * (cfg.inner_steps + 1)
+
+
 def test_first_order_meta_gradient_is_adapted_query_gradient():
     pool, n_classes, d = make_pool()
     model = init_fusion(4, d, n_classes, seed=2)
@@ -110,8 +145,6 @@ def test_first_order_meta_gradient_is_adapted_query_gradient():
         _, g = adapted.loss_and_grads(attrs, embs, labels)
         expected = g if expected is None else [a + b for a, b in zip(expected, g)]
     expected = [g / len(episodes) for g in expected]
-
-    from cftmal.meta import _task_meta_gradient
 
     got = None
     for ep in episodes:
@@ -173,8 +206,6 @@ def test_second_order_on_model_matches_fd():
     model = init_fusion(4, d, n_classes, seed=3)
     cfg = MamlConfig(order="second", inner_steps=2, inner_lr=0.05)
     ep = sample_episode(pool, cfg, seed=7)
-
-    from cftmal.meta import _task_meta_gradient
 
     meta_grad, _, _ = _task_meta_gradient(model, ep, cfg, None, None)
 

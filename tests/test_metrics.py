@@ -78,6 +78,17 @@ def test_cosine_silhouette_matches_brute_force():
         got = cosine_silhouette(vectors, labels)
         want = brute_silhouette(vectors, labels.tolist())
         assert got == pytest.approx(want, abs=1e-10)
+    # 200 points over 5 labels, label 4 a singleton
+    vectors = rng.standard_normal((200, 6))
+    labels = np.concatenate([rng.integers(0, 4, 199), [4]])
+    rng.shuffle(labels)
+    got = cosine_silhouette(vectors, labels)
+    assert got == pytest.approx(brute_silhouette(vectors, labels.tolist()), abs=1e-10)
+
+
+def test_cosine_silhouette_needs_two_labels():
+    with pytest.raises(ValueError, match="at least 2 labels"):
+        cosine_silhouette(np.eye(3), np.zeros(3, dtype=int))
 
 
 def test_project_2d_separates_and_is_deterministic(tmp_path):

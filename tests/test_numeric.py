@@ -8,7 +8,9 @@ from cftmal.numeric import (
     adamw_init,
     adamw_step,
     chain_backward,
+    chain_backward_jvp,
     chain_forward,
+    chain_forward_jvp,
     chain_params,
     init_dense,
     layer_backward,
@@ -160,6 +162,54 @@ def test_chain_roundtrip_and_backward():
     for g, p in zip(grads, params):
         assert rel_err(g, fd_grad(loss, p)) < 1e-6
     assert rel_err(gx, fd_grad(loss, x)) < 1e-6
+
+
+def test_chain_backward_can_skip_input_grad():
+    rng = np.random.default_rng(6)
+    layers = [
+        DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4), "relu"),
+        DenseLayer(rng.standard_normal((2, 4)), rng.standard_normal(2), "identity"),
+    ]
+    _, caches = chain_forward(layers, rng.standard_normal((5, 3)))
+    upstream = rng.standard_normal((5, 2))
+    grads, _ = chain_backward(layers, caches, upstream)
+    skipped, gx = chain_backward(layers, caches, upstream, input_grad=False)
+    assert gx is None
+    for a, b in zip(grads, skipped):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_chain_backward_jvp_matches_fd_of_chain_backward():
+    rng = np.random.default_rng(7)
+    layers = [
+        DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4), "relu"),
+        DenseLayer(rng.standard_normal((2, 4)), rng.standard_normal(2), "identity"),
+    ]
+    x = rng.standard_normal((5, 3))
+    upstream = rng.standard_normal((5, 2))
+    params = chain_params(layers)
+    dparams = [rng.standard_normal(p.shape) for p in params]
+    dx = rng.standard_normal(x.shape)
+    _, _, caches = chain_forward_jvp(layers, dparams, x, dx)
+    dgrads, gx, dgx = chain_backward_jvp(layers, dparams, caches, upstream, np.zeros_like(upstream))
+
+    def grads_at(step):
+        moved = [DenseLayer(w + step * dw, b + step * db, l.activation)
+                 for l, w, b, dw, db in zip(layers, params[::2], params[1::2],
+                                            dparams[::2], dparams[1::2])]
+        _, c = chain_forward(moved, x + step * dx)
+        return chain_backward(moved, c, upstream)
+
+    (up, gx_up), (down, gx_down) = grads_at(H), grads_at(-H)
+    for d, u, w in zip(dgrads, up, down):
+        assert rel_err(d, (u - w) / (2 * H)) < 1e-6
+    np.testing.assert_array_equal(gx, chain_backward(layers, [c[::2] for c in caches], upstream)[1])
+    assert rel_err(dgx, (gx_up - gx_down) / (2 * H)) < 1e-6
+    skipped, none_gx, none_dgx = chain_backward_jvp(
+        layers, dparams, caches, upstream, np.zeros_like(upstream), input_grad=False)
+    assert none_gx is None and none_dgx is None
+    for a, b in zip(dgrads, skipped):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_set_chain_params_validates():
