@@ -24,7 +24,9 @@ from .mining import (
     NegativeSet,
     PositiveSelection,
     ShortageError,
+    build_all_samples,
     build_samples,
+    mine_all,
     mine_negatives,
     mine_random,
     select_positive,

@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import os
 import sys
 
-import numpy as np
-
 from . import cft, data, metrics, mining
 from .distill import KdConfig
-from .fusion import FusionModel, MultimodalSample, TeacherModel, init_fusion, teacher_train
+from .fusion import FusionModel, TeacherModel, init_fusion, teacher_train
 from .meta import MamlConfig, build_pool, eval_report_to_csv, evaluate_few_shot, maml_train
 
 STAGE_SEED_OFFSETS = {
@@ -72,6 +71,11 @@ class ConfigError(ValueError):
     """A config file value does not parse as its option's type."""
 
 
+def _int_list(text: str) -> list:
+    """Comma-separated ints, e.g. "1,5,10"."""
+    return [int(s) for s in text.split(",")]
+
+
 def _get(args, cfg, dest, default):
     """Flag value if given, else config value, else default (typed)."""
     v = getattr(args, dest, None)
@@ -81,16 +85,38 @@ def _get(args, cfg, dest, default):
         raw = cfg[dest]
         if isinstance(default, bool):
             return raw.strip().lower() in ("1", "true", "yes", "on")
-        for kind in (int, float):
+        for kind, parse, what in ((int, int, "int"), (float, float, "float"),
+                                  (list, _int_list, "comma-separated list of ints")):
             if isinstance(default, kind):
                 try:
-                    return kind(raw)
+                    return parse(raw)
                 except ValueError:
-                    raise ConfigError(
-                        f"{dest} = {raw!r} is not a valid {kind.__name__}"
-                    ) from None
+                    raise ConfigError(f"{dest} = {raw!r} is not a valid {what}") from None
         return raw
     return default
+
+
+# Flags whose name differs from the config dataclass field they set.
+FLAG_NAMES = {
+    "temperature": "tau",
+    "learning_rate": "lr",
+    "denominator_mode": "denominator",
+    "negatives_hard_per_sample": "hard_per_sample",
+    "negatives_diverse_per_sample": "diverse_per_sample",
+}
+
+
+def _config(args, cfg, cls, seed=None):
+    """A stage config dataclass: every field with a typed default takes its
+    flag, else its config value, else that default; `seed` sets the seed."""
+    values = {
+        f.name: _get(args, cfg, FLAG_NAMES.get(f.name, f.name), f.default)
+        for f in dataclasses.fields(cls)
+        if f.name != "seed" and f.default is not None
+    }
+    if seed is not None:
+        values["seed"] = seed
+    return cls(**values)
 
 
 def _stage_seed(args, cfg, stage: str) -> int:
@@ -148,35 +174,11 @@ def _cmd_ingest(args, cfg):
     _summary("ingest", "; ".join(parts))
 
 
-def _mining_config(args, cfg, seed: int) -> mining.MiningConfig:
-    return mining.MiningConfig(
-        threshold=_get(args, cfg, "threshold", 0.95),
-        n_hard=_get(args, cfg, "n_hard", 20),
-        n_diverse=_get(args, cfg, "n_diverse", 12),
-        negatives_hard_per_sample=_get(args, cfg, "hard_per_sample", 5),
-        negatives_diverse_per_sample=_get(args, cfg, "diverse_per_sample", 3),
-        samples_per_anchor=_get(args, cfg, "samples_per_anchor", 4),
-        seed=seed,
-    )
-
-
 def _cmd_mine(args, cfg):
     corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    seed = _stage_seed(args, cfg, "mine")
-    mcfg = _mining_config(args, cfg, seed)
+    mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "mine"))
     strategy = _get(args, cfg, "strategy", "similarity")
-    positives = mining.select_positives(corpus)
-    sets = []
-    for fam in corpus.families:
-        if strategy == "similarity":
-            sets.append(mining.mine_negatives(corpus, positives, fam, mcfg))
-        elif strategy == "random":
-            sets.append(mining.mine_random(
-                corpus, fam, n_total=mcfg.n_hard + mcfg.n_diverse,
-                seed=seed, n_hard_slots=mcfg.n_hard,
-            ))
-        else:
-            raise ValueError(f"unknown mining strategy {strategy!r}")
+    sets = mining.mine_all(corpus, mining.select_positives(corpus), mcfg, strategy)
     path = _outpath(args, cfg, "negatives.jsonl")
     mining.negative_sets_to_jsonl(path, sets)
     _summary("mine", f"{len(sets)} families ({strategy}, threshold {mcfg.threshold}) -> {path}")
@@ -185,14 +187,8 @@ def _cmd_mine(args, cfg):
 def _cmd_samples(args, cfg):
     corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
     sets = mining.negative_sets_from_jsonl(_get(args, cfg, "negatives", "negatives.jsonl"))
-    mcfg = _mining_config(args, cfg, _stage_seed(args, cfg, "samples"))
-    positives = mining.select_positives(corpus)
-    by_family = corpus.by_family()
-    samples = []
-    for ns in sets:
-        if ns.family not in by_family:
-            raise ValueError(f"negative set for unknown family {ns.family!r}")
-        samples += mining.build_samples(by_family[ns.family], positives[ns.family], ns, mcfg)
+    mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "samples"))
+    samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
     path = _outpath(args, cfg, "samples.jsonl")
     mining.samples_to_jsonl(path, samples)
     _summary("samples", f"{len(samples)} contrastive samples "
@@ -202,17 +198,7 @@ def _cmd_samples(args, cfg):
 def _cmd_train_cft(args, cfg):
     corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
     samples = mining.samples_from_jsonl(_get(args, cfg, "samples", "samples.jsonl"))
-    ccfg = cft.CftConfig(
-        temperature=_get(args, cfg, "tau", 0.07),
-        learning_rate=_get(args, cfg, "lr", 1e-5),
-        batch_size=_get(args, cfg, "batch_size", 32),
-        epochs=_get(args, cfg, "epochs", 1),
-        weight_decay=_get(args, cfg, "weight_decay", 0.01),
-        hidden_dim=_get(args, cfg, "hidden_dim", 512),
-        output_dim=_get(args, cfg, "output_dim", 256),
-        denominator_mode=_get(args, cfg, "denominator", "in_sample"),
-        seed=_stage_seed(args, cfg, "train-cft"),
-    )
+    ccfg = _config(args, cfg, cft.CftConfig, _stage_seed(args, cfg, "train-cft"))
     head, trace = cft.train_adapter(samples, corpus, ccfg)
     adapter_path = _outpath(args, cfg, "adapter.adp1")
     trace_path = _outpath(args, cfg, "cft_loss.csv")
@@ -232,60 +218,29 @@ def _cmd_refine(args, cfg):
                        f"-> {path} (sha256 {_sha256(path)[:16]})")
 
 
-def _attr_pool(attrs):
-    """Teacher training pool from attribute records alone (no embeddings)."""
-    families = sorted({a.family for a in attrs})
-    classes = {f: i for i, f in enumerate(families)}
-    dim = attrs[0].attributes.shape[0]
-    zero = np.zeros(1)
-    return [MultimodalSample(a.id, a.attributes, zero, classes[a.family]) for a in attrs], len(families), dim
-
-
 def _cmd_teacher(args, cfg):
     attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
-    pool, n_classes, attr_dim = _attr_pool(attrs)
+    families = sorted({a.family for a in attrs})
     teacher, trace = teacher_train(
-        pool, n_classes, attr_dim,
+        attrs, families,
         lr=_get(args, cfg, "teacher_lr", 1e-3),
         epochs=_get(args, cfg, "teacher_epochs", 40),
         seed=_stage_seed(args, cfg, "teacher"),
     )
     path = _outpath(args, cfg, "teacher.tch1")
     teacher.save(path)
-    _summary("teacher", f"{len(pool)} rows, {n_classes} classes, "
+    _summary("teacher", f"{len(attrs)} rows, {len(families)} classes, "
                         f"final train accuracy {trace[-1]:.3f} -> {path}")
-
-
-def _maml_config(args, cfg, seed: int) -> MamlConfig:
-    return MamlConfig(
-        inner_steps=_get(args, cfg, "inner_steps", 5),
-        inner_lr=_get(args, cfg, "inner_lr", 0.01),
-        meta_lr=_get(args, cfg, "meta_lr", 1e-3),
-        tasks_per_meta_batch=_get(args, cfg, "tasks_per_meta_batch", 4),
-        meta_iterations=_get(args, cfg, "meta_iterations", 40),
-        order=_get(args, cfg, "order", "first"),
-        n_support=_get(args, cfg, "n_support", 10),
-        n_query=_get(args, cfg, "n_query", 20),
-        seed=seed,
-    )
-
-
-def _kd_config(args, cfg) -> KdConfig:
-    return KdConfig(
-        kd_temperature=_get(args, cfg, "kd_temperature", 2.0),
-        alpha=_get(args, cfg, "alpha", 0.5),
-        apply_in=_get(args, cfg, "apply_in", "both"),
-    )
 
 
 def _cmd_maml(args, cfg):
     corpus = data.load_embeddings(_get(args, cfg, "embeddings", "refined.emb1"))
     attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
     pool = build_pool(corpus, attrs)
-    mamlcfg = _maml_config(args, cfg, _stage_seed(args, cfg, "maml"))
+    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "maml"))
     teacher_path = _get(args, cfg, "teacher", None)
     teacher = TeacherModel.load(teacher_path) if teacher_path else None
-    kd = _kd_config(args, cfg) if teacher is not None else None
+    kd = _config(args, cfg, KdConfig) if teacher is not None else None
     attr_dim = pool[0].attributes.shape[0]
     student = init_fusion(attr_dim, corpus.dim, len(corpus.families), mamlcfg.seed)
     student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
@@ -304,15 +259,15 @@ def _cmd_maml(args, cfg):
 
 
 def _cmd_eval(args, cfg):
+    sizes = _get(args, cfg, "support_sizes", [10])
     corpus = data.load_embeddings(_get(args, cfg, "embeddings", "refined.emb1"))
     attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
     pool = build_pool(corpus, attrs)
     student = FusionModel.load(_get(args, cfg, "student", "student.fus1"))
     teacher_path = _get(args, cfg, "teacher", None)
     teacher = TeacherModel.load(teacher_path) if teacher_path else None
-    kd = _kd_config(args, cfg) if teacher is not None else None
-    mamlcfg = _maml_config(args, cfg, _stage_seed(args, cfg, "eval"))
-    sizes = [int(s) for s in str(_get(args, cfg, "support_sizes", "10")).split(",")]
+    kd = _config(args, cfg, KdConfig) if teacher is not None else None
+    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "eval"))
     rows = evaluate_few_shot(
         student, pool, mamlcfg, _get(args, cfg, "episodes", 20),
         support_sizes=sizes, teacher=teacher, kd_cfg=kd,
@@ -424,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
            "inner-lr": f(), "meta-lr": f(), "meta-iterations": i(),
            "tasks-per-meta-batch": i(), "n-support": i(), "n-query": i()})
     add("eval", embeddings=s(), attributes=s(), student=s(), teacher=s(),
-        episodes=i(), alpha=f(), **{"support-sizes": s(), "inner-steps": i(),
+        episodes=i(), alpha=f(), **{"support-sizes": {"type": _int_list}, "inner-steps": i(),
         "inner-lr": f(), "kd-temperature": f(), "apply-in": s()})
     add("ablate", seeds=i(), epochs=i(), episodes=i(), families=i(), records=i(),
         **{"meta-iterations": i(), "teacher-epochs": i()})

@@ -232,21 +232,29 @@ def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
     return TeacherModel(attr_branch, classifier)
 
 
-def teacher_train(pool, n_classes: int, attr_dim: int, lr: float = 1e-3,
-                  epochs: int = 40, batch_size: int = 64, seed: int = 0,
-                  weight_decay: float = 0.01):
-    """AdamW training of the teacher on attribute vectors only.
+def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40,
+                  batch_size: int = 64, seed: int = 0, weight_decay: float = 0.01):
+    """AdamW training of the teacher on attribute records alone.
 
-    Returns (teacher, accuracy trace per epoch).
+    `families` fixes the class order. Returns (teacher, accuracy trace
+    per epoch).
     """
-    if not pool:
-        raise ValueError("empty training pool")
-    teacher = init_teacher(attr_dim, n_classes, seed)
-    attrs, _, labels = batch_arrays(pool)
+    if not attributes:
+        raise ValueError("no attribute rows to train on")
+    classes = {f: i for i, f in enumerate(families)}
+    for a in attributes:
+        if a.family not in classes:
+            raise ValueError(
+                f"attribute row {a.id!r}: family {a.family!r} is not one of "
+                f"the {len(classes)} teacher classes"
+            )
+    attrs = np.stack([a.attributes for a in attributes])
+    labels = np.array([classes[a.family] for a in attributes], dtype=np.int64)
+    teacher = init_teacher(attrs.shape[1], len(classes), seed)
     params = teacher.get_params()
     opt = adamw_init(params, lr=lr, weight_decay=weight_decay)
     trace = []
-    n = len(pool)
+    n = len(attributes)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 0x7EA, epoch]).permutation(n)
         for start in range(0, n, batch_size):

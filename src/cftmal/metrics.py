@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,6 +168,15 @@ class PipelineStageError(RuntimeError):
         self.stage = stage
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Report any failure inside the block as a failure of stage `name`."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSettings,
                  seed: int) -> dict:
     """One end-to-end run: split -> (mine -> cft -> refine) -> teacher ->
@@ -174,82 +184,54 @@ def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSett
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     out = {"method": method, "seed": seed}
-    try:
+    with _stage("split"):
         (train_c, train_a), (test_c, test_a) = split_meta(
             corpus, attributes, settings.holdout_fraction, seed
         )
-    except Exception as exc:
-        raise PipelineStageError("split", exc) from exc
 
-    raw_gap = embedding_quality(train_c).gap
-    out["raw_gap"] = raw_gap
+    out["raw_gap"] = embedding_quality(train_c).gap
 
     if method in ("random_cft", "similarity_cft"):
-        try:
+        mcfg = replace(settings.mining, seed=seed)
+        with _stage("mine"):
             positives = mining.select_positives(train_c)
-            mcfg = mining.MiningConfig(**{**settings.mining.__dict__, "seed": seed})
-            neg_sets = {}
-            for fam in train_c.families:
-                if method == "similarity_cft":
-                    neg_sets[fam] = mining.mine_negatives(train_c, positives, fam, mcfg)
-                else:
-                    neg_sets[fam] = mining.mine_random(
-                        train_c, fam, n_total=mcfg.n_hard + mcfg.n_diverse, seed=seed,
-                        n_hard_slots=mcfg.n_hard,
-                    )
-        except Exception as exc:
-            raise PipelineStageError("mine", exc) from exc
-        try:
-            by_family = train_c.by_family()
-            samples = []
-            for fam in train_c.families:
-                samples += mining.build_samples(
-                    by_family[fam], positives[fam], neg_sets[fam], mcfg
-                )
-        except Exception as exc:
-            raise PipelineStageError("samples", exc) from exc
-        try:
-            ccfg = cft.CftConfig(**{**settings.cft.__dict__, "seed": seed})
-            head, _ = cft.train_adapter(samples, train_c, ccfg)
+            strategy = "similarity" if method == "similarity_cft" else "random"
+            neg_sets = mining.mine_all(train_c, positives, mcfg, strategy)
+        with _stage("samples"):
+            samples = mining.build_all_samples(train_c, positives, neg_sets, mcfg)
+        with _stage("cft"):
+            head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
             train_c = cft.refine(head, train_c)
             test_c = cft.refine(head, test_c) if len(test_c.records) else test_c
-        except Exception as exc:
-            raise PipelineStageError("cft", exc) from exc
         out["refined_gap"] = embedding_quality(train_c).gap
 
-    try:
+    with _stage("pool"):
         train_pool = build_pool(train_c, train_a)
         test_pool = build_pool(test_c, test_a)
+        attr_dim = train_pool[0].attributes.shape[0]
         n_classes = len(corpus.families)
-        mamlcfg = MamlConfig(**{**settings.maml.__dict__, "seed": seed})
-    except Exception as exc:
-        raise PipelineStageError("pool", exc) from exc
+        mamlcfg = replace(settings.maml, seed=seed)
 
-    try:
+    with _stage("maml"):
         if method == "attributes_only":
-            student = init_teacher(train_pool[0].attributes.shape[0], n_classes, seed)
+            student = init_teacher(attr_dim, n_classes, seed)
             student, _ = maml_train(student, train_pool, mamlcfg)
             teacher = None
             kd = None
         else:
-            attr_dim = train_pool[0].attributes.shape[0]
             teacher, _ = teacher_train(
-                train_pool, n_classes, attr_dim,
+                train_a, corpus.families,
                 lr=settings.teacher_lr, epochs=settings.teacher_epochs, seed=seed,
             )
             student = init_fusion(attr_dim, train_c.dim, n_classes, seed)
             kd = settings.kd
             student, _ = maml_train(student, train_pool, mamlcfg, teacher=teacher, kd_cfg=kd)
-    except Exception as exc:
-        raise PipelineStageError("maml", exc) from exc
 
-    try:
+    with _stage("eval"):
         rows = evaluate_few_shot(
             student, test_pool, mamlcfg, settings.eval_episodes,
             teacher=teacher, kd_cfg=kd,
         )
-    except Exception as exc:
-        raise PipelineStageError("eval", exc) from exc
     out["accuracy"] = rows[0]["mean_accuracy"]
     out["eval_rows"] = rows
     return out

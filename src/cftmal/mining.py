@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .data import Corpus, DescriptionRecord
-from .similarity import cosine_similarity, normalize_rows
+from .similarity import normalize_rows
 
 
 class ShortageError(ValueError):
@@ -144,30 +145,44 @@ def mine_negatives(corpus: Corpus, positives: dict, family: str, cfg: MiningConf
     return NegativeSet(family, hard, diverse, cfg.threshold)
 
 
-def mine_random(corpus: Corpus, family: str, n_total: int = 32, seed: int = 0,
-                n_hard_slots: int = 20) -> NegativeSet:
+def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig) -> NegativeSet:
     """Uniform-random negatives, ablation baseline.
 
-    The selection is a uniform draw over all foreign records; the 20/12
-    hard/diverse partition exists only for interface compatibility (slots
-    are filled by descending similarity within the drawn set).
+    The selection is a uniform draw of `n_hard + n_diverse` foreign
+    records; the hard/diverse partition exists only for interface
+    compatibility (slots are filled by descending similarity within the
+    drawn set).
     """
-    fam_recs = [r for r in corpus.records if r.family == family]
-    if not fam_recs:
-        raise ValueError(f"unknown family {family!r}")
-    pos = select_positive(corpus, family)
-    scored = _foreign_similarities(corpus, pos)
-    if len(scored) < n_total:
+    if family not in positives:
+        raise ValueError(f"no positive selected for family {family!r}")
+    scored = _foreign_similarities(corpus, positives[family])
+    need = cfg.n_hard + cfg.n_diverse
+    if len(scored) < need:
         raise ShortageError(
-            f"family {family!r}: {len(scored)} foreign records, need {n_total}"
+            f"family {family!r}: {len(scored)} foreign records, need {need}"
         )
-    rng = _family_rng(seed, family, "random")
-    pick = rng.choice(len(scored), size=n_total, replace=False)
+    rng = _family_rng(cfg.seed, family, "random")
+    pick = rng.choice(len(scored), size=need, replace=False)
     chosen = [scored[i] for i in pick.tolist()]
     chosen.sort(key=lambda rs: (-rs[1], rs[0].family, rs[0].id))
-    hard = [(r.id, s) for r, s in chosen[:n_hard_slots]]
-    diverse = [(r.id, s) for r, s in chosen[n_hard_slots:]]
+    hard = [(r.id, s) for r, s in chosen[: cfg.n_hard]]
+    diverse = [(r.id, s) for r, s in chosen[cfg.n_hard :]]
     return NegativeSet(family, hard, diverse, 1.0)
+
+
+def mine_all(corpus: Corpus, positives: dict, cfg: MiningConfig, strategy: str) -> list:
+    """One negative set per family, in `corpus.families` order.
+
+    `strategy` is "similarity" (`mine_negatives`) or "random"
+    (`mine_random`).
+    """
+    if strategy == "similarity":
+        mine = mine_negatives
+    elif strategy == "random":
+        mine = mine_random
+    else:
+        raise ValueError(f"unknown mining strategy {strategy!r}")
+    return [mine(corpus, positives, fam, cfg) for fam in corpus.families]
 
 
 def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
@@ -178,13 +193,16 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
     for a in anchors:
         if a.family != positive.family:
             raise ValueError(f"anchor {a.id!r} is not in family {positive.family!r}")
-    if len(negs.hard) < cfg.negatives_hard_per_sample:
+    n_hard, n_diverse = cfg.negatives_hard_per_sample, cfg.negatives_diverse_per_sample
+    if len(negs.hard) < n_hard:
+        raise ShortageError(f"hard tier has {len(negs.hard)}, need {n_hard}")
+    if len(negs.diverse) < n_diverse:
+        raise ShortageError(f"diverse tier has {len(negs.diverse)}, need {n_diverse}")
+    if comb(len(negs.hard), n_hard) * comb(len(negs.diverse), n_diverse) < cfg.samples_per_anchor:
         raise ShortageError(
-            f"hard tier has {len(negs.hard)}, need {cfg.negatives_hard_per_sample}"
-        )
-    if len(negs.diverse) < cfg.negatives_diverse_per_sample:
-        raise ShortageError(
-            f"diverse tier has {len(negs.diverse)}, need {cfg.negatives_diverse_per_sample}"
+            f"family {positive.family!r}: tiers of {len(negs.hard)} hard and "
+            f"{len(negs.diverse)} diverse give fewer than {cfg.samples_per_anchor} "
+            f"distinct draws of {n_hard} + {n_diverse}"
         )
     hard_ids = [rid for rid, _ in negs.hard]
     diverse_ids = [rid for rid, _ in negs.diverse]
@@ -193,17 +211,34 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
     for anchor in anchors:
         seen = set()
         for _ in range(cfg.samples_per_anchor):
-            # redraw to keep the draws per anchor distinct when tiers permit
+            # redraw until this anchor's draws stay distinct
             for _attempt in range(64):
-                h = rng.choice(len(hard_ids), size=cfg.negatives_hard_per_sample, replace=False)
-                d = rng.choice(len(diverse_ids), size=cfg.negatives_diverse_per_sample, replace=False)
+                h = rng.choice(len(hard_ids), size=n_hard, replace=False)
+                d = rng.choice(len(diverse_ids), size=n_diverse, replace=False)
                 key = (frozenset(h.tolist()), frozenset(d.tolist()))
                 if key not in seen:
                     break
+            else:
+                raise ShortageError(
+                    f"family {positive.family!r}: anchor {anchor.id!r}: 64 draws "
+                    f"all repeat one of its {len(seen)} earlier samples"
+                )
             seen.add(key)
             negatives = [hard_ids[i] for i in sorted(h.tolist())]
             negatives += [diverse_ids[i] for i in sorted(d.tolist())]
             samples.append(ContrastiveSample(anchor.id, positive.record.id, negatives))
+    return samples
+
+
+def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) -> list:
+    """Contrastive samples for every negative set, in the order given;
+    each family's records are its anchors."""
+    by_family = corpus.by_family()
+    samples = []
+    for ns in sets:
+        if ns.family not in by_family:
+            raise ValueError(f"negative set for unknown family {ns.family!r}")
+        samples += build_samples(by_family[ns.family], positives[ns.family], ns, cfg)
     return samples
 
 

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from cftmal.cli import main
+from cftmal.cft import CftConfig
+from cftmal.cli import _build_parser, _config, main
 
 
 def sha(path):
@@ -77,6 +78,25 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
     assert "families = 'ten'" in err and str(cfg) in err
+
+
+def test_mistyped_support_sizes_exits_2_before_reading_inputs(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.ini"
+    cfg.write_text("[eval]\nsupport_sizes = 5,x\n")
+    code = run("eval", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--embeddings", str(tmp_path / "missing.emb1"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {cfg}: support_sizes = '5,x'" in err
+
+
+def test_stage_config_precedence_flag_then_ini_then_default():
+    args = _build_parser().parse_args(["train-cft", "--lr", "0.1"])
+    ccfg = _config(args, {"tau": "0.5", "lr": "0.2"}, CftConfig, seed=9)
+    assert ccfg.temperature == 0.5
+    assert ccfg.learning_rate == 0.1
+    assert ccfg.batch_size == CftConfig().batch_size
+    assert ccfg.seed == 9
 
 
 def test_full_chain_small(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cftmal.data import AttributeRecord
 from cftmal.fusion import (
     FusionModel,
     MultimodalSample,
@@ -138,18 +139,24 @@ def test_teacher_grads_match_fd():
 
 def test_teacher_train_learns_separable_data():
     rng = np.random.default_rng(10)
-    pool = []
+    rows = []
     for c in range(3):
         center = np.zeros(6)
         center[c * 2] = 3.0
         for i in range(30):
-            pool.append(MultimodalSample(
-                f"c{c}-{i}", center + 0.3 * rng.standard_normal(6), np.zeros(1), c
+            rows.append(AttributeRecord(
+                f"c{c}-{i}", f"c{c}", center + 0.3 * rng.standard_normal(6)
             ))
-    teacher, trace = teacher_train(pool, n_classes=3, attr_dim=6, lr=1e-2,
+    teacher, trace = teacher_train(rows, ["c0", "c1", "c2"], lr=1e-2,
                                    epochs=15, seed=11)
     assert trace[-1] > 0.95
     assert trace[-1] >= trace[0]
+
+
+def test_teacher_train_rejects_row_outside_families():
+    rows = [AttributeRecord("a", "c0", np.ones(4)), AttributeRecord("b", "c7", np.ones(4))]
+    with pytest.raises(ValueError, match="'b'.*'c7'"):
+        teacher_train(rows, ["c0", "c1"], epochs=1)
 
 
 def test_teacher_save_load(tmp_path):

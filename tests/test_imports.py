@@ -33,3 +33,25 @@ def test_no_function_local_sibling_imports():
         offenders += [f"{path.stem}.{name}:{line}"
                       for name, line in _sibling_imports_in_functions(tree)]
     assert offenders == []
+
+
+PER_FAMILY_STAGES = {"mine_negatives", "mine_random", "build_samples"}
+
+
+def test_per_family_mining_is_called_from_mining_only():
+    """The CLI and the ablation runner mine and build samples through
+    `mining.mine_all` / `build_all_samples`, so no second per-family loop
+    over these functions grows outside `mining`."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "mining":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in PER_FAMILY_STAGES:
+                offenders.append(f"{path.stem}:{node.lineno} calls {name}")
+    assert offenders == []

@@ -7,7 +7,9 @@ from cftmal.mining import (
     MiningConfig,
     NegativeSet,
     ShortageError,
+    build_all_samples,
     build_samples,
+    mine_all,
     mine_negatives,
     mine_random,
     negative_sets_from_jsonl,
@@ -130,14 +132,53 @@ def test_mine_negatives_deterministic():
 def test_mine_random_is_uniform_draw_with_slots():
     rng = np.random.default_rng(6)
     corpus = random_corpus(rng, n_families=4, lo=15, hi=20)
-    ns = mine_random(corpus, "f1", n_total=12, seed=7, n_hard_slots=8)
+    positives = select_positives(corpus)
+    cfg = MiningConfig(n_hard=8, n_diverse=4, seed=7)
+    ns = mine_random(corpus, positives, "f1", cfg)
     assert len(ns.hard) == 8 and len(ns.diverse) == 4
     sims = [s for _, s in ns.hard] + [s for _, s in ns.diverse]
     assert sims == sorted(sims, reverse=True)
-    again = mine_random(corpus, "f1", n_total=12, seed=7, n_hard_slots=8)
+    again = mine_random(corpus, positives, "f1", cfg)
     assert ns.hard == again.hard and ns.diverse == again.diverse
     with pytest.raises(ShortageError):
-        mine_random(corpus, "f1", n_total=10_000, seed=0)
+        mine_random(corpus, positives, "f1", MiningConfig(n_hard=20, n_diverse=9_980, seed=0))
+
+
+@pytest.mark.parametrize("strategy", ["similarity", "random"])
+def test_mine_all_matches_per_family_mining(strategy):
+    rng = np.random.default_rng(14)
+    corpus = random_corpus(rng, n_families=4, lo=15, hi=20)
+    positives = select_positives(corpus)
+    cfg = MiningConfig(threshold=1.0, n_hard=6, n_diverse=4, seed=3,
+                       negatives_hard_per_sample=2, negatives_diverse_per_sample=2)
+    mine = mine_negatives if strategy == "similarity" else mine_random
+    expected = [mine(corpus, positives, f, cfg) for f in corpus.families]
+    got = mine_all(corpus, positives, cfg, strategy)
+    assert [ns.family for ns in got] == corpus.families
+    assert [(ns.hard, ns.diverse, ns.threshold) for ns in got] == [
+        (ns.hard, ns.diverse, ns.threshold) for ns in expected
+    ]
+
+
+def test_mine_all_rejects_unknown_strategy():
+    rng = np.random.default_rng(15)
+    corpus = random_corpus(rng, n_families=3, lo=10, hi=12)
+    with pytest.raises(ValueError, match="unknown mining strategy 'nearest'"):
+        mine_all(corpus, select_positives(corpus), MiningConfig(), "nearest")
+
+
+def test_build_all_samples_rejects_unknown_family():
+    rng = np.random.default_rng(16)
+    corpus = random_corpus(rng, n_families=3, lo=12, hi=15)
+    positives = select_positives(corpus)
+    cfg = MiningConfig(threshold=1.0, n_hard=6, n_diverse=4, seed=2,
+                       negatives_hard_per_sample=2, negatives_diverse_per_sample=2)
+    sets = mine_all(corpus, positives, cfg, "similarity")
+    samples = build_all_samples(corpus, positives, sets, cfg)
+    assert len(samples) == len(corpus.records) * cfg.samples_per_anchor
+    stray = NegativeSet("f9", sets[0].hard, sets[0].diverse, 1.0)
+    with pytest.raises(ValueError, match="unknown family 'f9'"):
+        build_all_samples(corpus, positives, sets + [stray], cfg)
 
 
 def test_build_samples_counts_and_structure():
@@ -181,6 +222,28 @@ def test_build_samples_tier_shortage():
     ns = NegativeSet("f0", [("x", 0.5)] * 3, [("y", 0.1)] * 3, 0.95)
     with pytest.raises(ShortageError):
         build_samples([], _pos(), ns, cfg)
+
+
+def test_build_samples_rejects_tiers_too_small_for_distinct_draws():
+    # 5 hard + 3 diverse drawn 5 + 3 at a time allow exactly one draw
+    ns = NegativeSet("f0", [(f"h{i}", 0.5) for i in range(5)],
+                     [(f"d{i}", 0.1) for i in range(3)], 0.95)
+    anchors = [DescriptionRecord(f"a{i}", "f0", np.ones(3)) for i in range(10)]
+    with pytest.raises(ShortageError, match=r"'f0'.*5 hard and 3 diverse"):
+        build_samples(anchors, _pos(), ns, MiningConfig())
+
+
+def test_build_samples_raises_when_redraws_keep_colliding(monkeypatch):
+    class SameDraw:
+        def choice(self, n, size, replace):
+            return np.arange(size)
+
+    monkeypatch.setattr("cftmal.mining._family_rng", lambda *a: SameDraw())
+    ns = NegativeSet("f0", [(f"h{i}", 0.5) for i in range(6)],
+                     [(f"d{i}", 0.1) for i in range(3)], 0.95)
+    anchors = [DescriptionRecord("a0", "f0", np.ones(3))]
+    with pytest.raises(ShortageError, match="64 draws"):
+        build_samples(anchors, _pos(), ns, MiningConfig())
 
 
 def _pos():
