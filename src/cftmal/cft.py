@@ -7,13 +7,12 @@ pass through it before the similarity computation.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, DescriptionRecord
+from .data import Corpus, DescriptionRecord, write_csv
 from .numeric import (
     ShapeError,
     adamw_init,
@@ -251,8 +250,4 @@ def refine(head: AdapterHead, corpus: Corpus) -> Corpus:
 
 
 def loss_trace_to_csv(path, trace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["batch_index", "mean_loss"])
-        for i, loss in trace:
-            writer.writerow([i, repr(float(loss))])
+    write_csv(path, ["batch_index", "mean_loss"], ([i, repr(float(loss))] for i, loss in trace))

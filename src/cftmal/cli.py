@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import hashlib
 import os
@@ -247,11 +246,9 @@ def _cmd_maml(args, cfg):
     path = _outpath(args, cfg, "student.fus1")
     hist_path = _outpath(args, cfg, "maml_history.csv")
     student.save(path)
-    with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "query_loss", "query_accuracy"])
-        for h in history:
-            w.writerow([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])])
+    data.write_csv(hist_path, ["iteration", "query_loss", "query_accuracy"],
+                   ([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])]
+                    for h in history))
     _summary("maml", f"{mamlcfg.meta_iterations} meta-iterations "
                      f"(order {mamlcfg.order}, kd {'on' if kd else 'off'}), "
                      f"final query accuracy {history[-1]['query_accuracy']:.3f} "

@@ -1,4 +1,5 @@
-"""Corpus ingestion, the EMB1 binary format, synthetic corpora and splits."""
+"""Corpus ingestion, the EMB1 binary format, the CSV and JSONL helpers every
+text artifact goes through, synthetic corpora and splits."""
 
 from __future__ import annotations
 
@@ -102,47 +103,26 @@ def _read_emb1(path) -> Corpus:
     lines = [ln for ln in lines if ln.strip()]
     if len(lines) != n:
         raise FormatError(f"{path}: trailer has {len(lines)} lines, expected {n}")
-    records = []
-    for i, ln in enumerate(lines):
-        try:
-            meta = json.loads(ln.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: bad trailer line {i}: {exc}") from exc
-        if "id" not in meta or "family" not in meta:
-            raise FormatError(f"{path}: trailer line {i} missing id/family")
-        records.append(
-            DescriptionRecord(str(meta["id"]), str(meta["family"]), vectors[i].astype(np.float64))
-        )
-    return Corpus(records, d)
+    records = [
+        DescriptionRecord(*_json_line(path, f"trailer line {i}", ln, _trailer_ids),
+                          vectors[i].astype(np.float64))
+        for i, ln in enumerate(lines)
+    ]
+    try:
+        return Corpus(records, d)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _trailer_ids(meta) -> tuple:
+    return str(meta["id"]), str(meta["family"])
 
 
 def _read_embeddings_csv(path) -> Corpus:
-    records = []
-    dim = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "family":
-            raise FormatError(f"{path}: header must start with id,family")
-        dim = len(header) - 2
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise FormatError(
-                    f"{path}: row {rownum} has {len(row)} columns, expected {dim + 2}"
-                )
-            try:
-                vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {rownum}: {exc}") from exc
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{path}: row {rownum}: non-finite value")
-            records.append(DescriptionRecord(row[0], row[1], vec))
-    if not records:
+    rows = _read_feature_csv(path, id_family_first=True)
+    if not rows:
         raise FormatError(f"{path}: no records")
-    return Corpus(records, dim)
+    return Corpus([DescriptionRecord(*row) for row in rows], len(rows[0][2]))
 
 
 def load_embeddings(path) -> Corpus:
@@ -156,45 +136,100 @@ def load_embeddings(path) -> Corpus:
 
 def load_attributes(path) -> list:
     """Load attribute records from a CSV with id, family and numeric columns."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        for col in ("id", "family"):
-            if col not in header:
-                raise FormatError(f"{path}: missing required column {col!r}")
-        id_ix = header.index("id")
-        fam_ix = header.index("family")
-        feat_ix = [i for i in range(len(header)) if i not in (id_ix, fam_ix)]
-        if not feat_ix:
-            raise FormatError(f"{path}: no attribute columns")
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: row {rownum} has {len(row)} columns, expected {len(header)}"
-                )
-            try:
-                vals = np.array([float(row[i]) for i in feat_ix], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {rownum}: {exc}") from exc
-            if not np.isfinite(vals).all():
-                raise FormatError(f"{path}: row {rownum}: non-finite value")
-            records.append(AttributeRecord(row[id_ix], row[fam_ix], vals))
-    return records
+    return [AttributeRecord(*row) for row in _read_feature_csv(path, id_family_first=False)]
 
 
 def write_attributes(path, records) -> None:
     if not records:
         raise ValueError("no attribute records to write")
     m = records[0].attributes.shape[0]
+    write_csv(path, ["id", "family"] + [f"f{i}" for i in range(m)],
+              ([r.id, r.family] + [repr(float(v)) for v in r.attributes] for r in records))
+
+
+# --- CSV and JSONL: every text artifact goes through these helpers. A reader
+# that meets bad input raises FormatError whose message starts with the file
+# path and names the line (JSONL) or row (CSV, header = row 1).
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row, then one CSV row per sequence of cells in `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "family"] + [f"f{i}" for i in range(m)])
-        for r in records:
-            writer.writerow([r.id, r.family] + [repr(float(v)) for v in r.attributes])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_jsonl(path, objects) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, parse) -> list:
+    """`parse(obj)` for the JSON value on each non-blank line, in order.
+
+    A line that is not UTF-8 JSON, or whose value `parse` rejects with
+    KeyError, TypeError or ValueError, raises FormatError
+    "<path>: line <n>: ...".
+    """
+    with open(path, "rb") as fh:
+        return [_json_line(path, f"line {n}", ln, parse)
+                for n, ln in enumerate(fh, start=1) if ln.strip()]
+
+
+def _json_line(path, where: str, raw: bytes, parse):
+    try:
+        return parse(json.loads(raw.decode("utf-8")))
+    except KeyError as exc:
+        raise FormatError(f"{path}: {where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
+        raise FormatError(f"{path}: {where}: {exc}") from exc
+
+
+def _read_feature_csv(path, id_family_first: bool) -> list:
+    """(id, family, float64 vector) per data row of a CSV with `id` and
+    `family` columns; every other column is a finite float feature and ids
+    are unique. `id_family_first` requires those two columns to lead."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            if id_family_first and header[:2] != ["id", "family"]:
+                raise FormatError(f"{path}: header must start with id,family")
+            for col in ("id", "family"):
+                if col not in header:
+                    raise FormatError(f"{path}: missing required column {col!r}")
+            id_ix, fam_ix = header.index("id"), header.index("family")
+            feat_ix = [i for i in range(len(header)) if i not in (id_ix, fam_ix)]
+            if not feat_ix:
+                raise FormatError(f"{path}: no feature columns")
+            rows, first_row = [], {}
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}: row {rownum} has {len(row)} columns, expected {len(header)}"
+                    )
+                try:
+                    vec = np.array([float(row[i]) for i in feat_ix], dtype=np.float64)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: row {rownum}: {exc}") from exc
+                if not np.isfinite(vec).all():
+                    raise FormatError(f"{path}: row {rownum}: non-finite value")
+                first = first_row.setdefault(row[id_ix], rownum)
+                if first != rownum:
+                    raise FormatError(
+                        f"{path}: duplicate id {row[id_ix]!r} at rows {first} and {rownum}"
+                    )
+                rows.append((row[id_ix], row[fam_ix], vec))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return rows
 
 
 @dataclass

@@ -9,12 +9,11 @@ inner steps with Hessian-vector products.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, write_csv
 from .fusion import MultimodalSample, batch_arrays
 from .numeric import ShapeError, adamw_init, adamw_step
 
@@ -296,11 +295,8 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
 
 
 def eval_report_to_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["support_size", "n_episodes", "mean_accuracy", "std_accuracy", "seed"])
-        for r in rows:
-            writer.writerow([
-                r["support_size"], r["n_episodes"],
-                repr(r["mean_accuracy"]), repr(r["std_accuracy"]), r["seed"],
-            ])
+    write_csv(path, ["support_size", "n_episodes", "mean_accuracy", "std_accuracy", "seed"], (
+        [r["support_size"], r["n_episodes"], repr(r["mean_accuracy"]), repr(r["std_accuracy"]),
+         r["seed"]]
+        for r in rows
+    ))

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import cft, mining
-from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta
+from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta, write_csv
 from .distill import KdConfig
 from .fusion import init_fusion, init_teacher, teacher_train
 from .meta import MamlConfig, build_pool, evaluate_few_shot, maml_train
@@ -132,11 +131,8 @@ def project_2d(corpus: Corpus):
 
 
 def projection_to_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "family", "x", "y"])
-        for rid, fam, x, y in rows:
-            writer.writerow([rid, fam, repr(x), repr(y)])
+    write_csv(path, ["id", "family", "x", "y"],
+              ([rid, fam, repr(x), repr(y)] for rid, fam, x, y in rows))
 
 
 # --- ablation pipeline ----------------------------------------------------
@@ -263,14 +259,11 @@ def run_ablation(data, settings: AblationSettings, seeds, methods=METHODS) -> Ab
 
 
 def ablation_to_csv(path, report: AblationReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "mean_accuracy", "std_accuracy", "seeds"])
-        for r in report.rows:
-            writer.writerow([
-                r["method"], repr(r["mean_accuracy"]), repr(r["std_accuracy"]),
-                " ".join(str(s) for s in r["seeds"]),
-            ])
+    write_csv(path, ["method", "mean_accuracy", "std_accuracy", "seeds"], (
+        [r["method"], repr(r["mean_accuracy"]), repr(r["std_accuracy"]),
+         " ".join(str(s) for s in r["seeds"])]
+        for r in report.rows
+    ))
 
 
 # --- bundled synthetic benchmark -------------------------------------------

@@ -10,15 +10,13 @@ samples mixing hard and diverse negatives.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .data import Corpus, DescriptionRecord
+from .data import Corpus, DescriptionRecord, read_jsonl, write_csv, write_jsonl
 from .similarity import normalize_rows
 
 
@@ -153,6 +151,7 @@ def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig)
     compatibility (slots are filled by descending similarity within the
     drawn set).
     """
+    cfg.validate()
     if family not in positives:
         raise ValueError(f"no positive selected for family {family!r}")
     scored = _foreign_similarities(corpus, positives[family])
@@ -258,56 +257,35 @@ def similarity_histogram(corpus: Corpus, positives: dict, family: str, n_bins: i
 
 
 def negative_sets_to_jsonl(path, sets) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ns in sets:
-            fh.write(json.dumps({
-                "family": ns.family,
-                "threshold": ns.threshold,
-                "hard": [[rid, s] for rid, s in ns.hard],
-                "diverse": [[rid, s] for rid, s in ns.diverse],
-            }, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "family": ns.family,
+        "threshold": ns.threshold,
+        "hard": [[rid, s] for rid, s in ns.hard],
+        "diverse": [[rid, s] for rid, s in ns.diverse],
+    } for ns in sets))
 
 
 def negative_sets_from_jsonl(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(NegativeSet(
-                d["family"],
-                [(rid, s) for rid, s in d["hard"]],
-                [(rid, s) for rid, s in d["diverse"]],
-                d["threshold"],
-            ))
-    return out
+    return read_jsonl(path, lambda d: NegativeSet(
+        d["family"],
+        [(rid, s) for rid, s in d["hard"]],
+        [(rid, s) for rid, s in d["diverse"]],
+        d["threshold"],
+    ))
 
 
 def samples_to_jsonl(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "anchor": s.anchor,
-                "positive": s.positive,
-                "negatives": s.negatives,
-            }, sort_keys=True) + "\n")
+    write_jsonl(path, ({"anchor": s.anchor, "positive": s.positive, "negatives": s.negatives}
+                       for s in samples))
 
 
 def samples_from_jsonl(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(ContrastiveSample(d["anchor"], d["positive"], list(d["negatives"])))
-    return out
+    return read_jsonl(path, lambda d: ContrastiveSample(
+        d["anchor"], d["positive"], list(d["negatives"])
+    ))
 
 
 def histogram_to_csv(path, edges, counts) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+    write_csv(path, ["bin_left", "bin_right", "count"],
+              ([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
+               for i, c in enumerate(counts)))

@@ -155,3 +155,24 @@ def test_missing_input_exits_1(tmp_path, capsys):
                "--adapter", str(tmp_path / "nope.adp1"))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"diverse": [], "family": "family00", "threshold": 1.0}', "missing key 'hard'"),
+    ('{"family": ', "Expecting value"),
+], ids=["missing-key", "bad-json"])
+def test_bad_negatives_row_names_file_and_line(tmp_path, capsys, line, message):
+    out = tmp_path / "n"
+    assert run("synth", "--out", str(out), "--families", "3", "--records", "20",
+               "--dim", "8", "--attr-dim", "4") == 0
+    assert run("mine", "--out", str(out), "--embeddings", str(out / "embeddings.emb1"),
+               "--n-hard", "6", "--n-diverse", "4", "--threshold", "1.0") == 0
+    negatives = out / "negatives.jsonl"
+    rows = negatives.read_text().splitlines()
+    negatives.write_text("\n".join([rows[0], line] + rows[2:]) + "\n")
+    capsys.readouterr()
+    code = run("samples", "--out", str(out), "--embeddings", str(out / "embeddings.emb1"),
+               "--negatives", str(negatives))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"cftmal samples: error: {negatives}: line 2: {message}" in err

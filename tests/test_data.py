@@ -95,6 +95,17 @@ def test_emb1_trailer_count_mismatch(tmp_path):
         load_embeddings(bad)
 
 
+@pytest.mark.parametrize("line", [b"5", b'"id family"'])
+def test_emb1_trailer_line_must_be_an_object(tmp_path, line):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "c.emb1"
+    write_embeddings(path, small_corpus(rng))
+    raw = path.read_bytes()
+    path.write_bytes(raw[: raw.rfind(b'{"family"')] + line + b"\n")
+    with pytest.raises(FormatError, match=f"^{path}: trailer line 5: "):
+        load_embeddings(path)
+
+
 def test_csv_embeddings(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("id,family,v0,v1\nr1,famA,1.0,2.0\nr2,famB,3.0,4.0\n")
@@ -122,6 +133,13 @@ def test_attributes_roundtrip(tmp_path):
     assert [a.id for a in back] == [a.id for a in records]
     for a, b in zip(records, back):
         np.testing.assert_allclose(a.attributes, b.attributes)
+
+
+def test_attributes_reject_duplicate_ids(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("id,family,f0\nr1,A,1.0\nr2,A,3.0\nr1,B,2.0\n")
+    with pytest.raises(FormatError, match=f"^{path}: duplicate id 'r1' at rows 2 and 4$"):
+        load_attributes(path)
 
 
 def test_attributes_missing_column(tmp_path):

@@ -55,3 +55,26 @@ def test_per_family_mining_is_called_from_mining_only():
             if name in PER_FAMILY_STAGES:
                 offenders.append(f"{path.stem}:{node.lineno} calls {name}")
     assert offenders == []
+
+
+TEXT_FORMAT_MODULES = {"csv", "json"}
+
+
+def test_text_formats_are_read_and_written_in_data_only():
+    """CSV and JSONL files go through the `cftmal.data` helpers, so every
+    reader shares one error path that names the file and the line."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "data":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.stem}:{node.lineno} imports {n}" for n in names
+                          if n.split(".")[0] in TEXT_FORMAT_MODULES]
+    assert offenders == []

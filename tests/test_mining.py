@@ -160,6 +160,16 @@ def test_mine_all_matches_per_family_mining(strategy):
     ]
 
 
+@pytest.mark.parametrize("strategy", ["similarity", "random"])
+def test_mining_validates_config(strategy):
+    rng = np.random.default_rng(16)
+    corpus = random_corpus(rng, n_families=3, lo=10, hi=12)
+    positives = select_positives(corpus)
+    mine = mine_negatives if strategy == "similarity" else mine_random
+    with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+        mine(corpus, positives, "f0", MiningConfig(threshold=1.5, n_hard=4, n_diverse=4))
+
+
 def test_mine_all_rejects_unknown_strategy():
     rng = np.random.default_rng(15)
     corpus = random_corpus(rng, n_families=3, lo=10, hi=12)
