@@ -8,7 +8,7 @@ pass through it before the similarity computation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,11 +17,10 @@ from .numeric import (
     ShapeError,
     adamw_init,
     adamw_step,
+    bind_params,
     chain_backward,
     chain_forward,
-    chain_params,
     init_dense,
-    set_chain_params,
 )
 from .serial import read_layers, write_layers
 from .similarity import ZeroNormWarning
@@ -29,9 +28,12 @@ from .similarity import ZeroNormWarning
 ADP1_MAGIC = b"ADP1"
 
 
-@dataclass
 class AdapterHead:
-    layers: list  # [in -> hidden relu, hidden -> out identity]
+    """[in -> hidden relu, hidden -> out identity]: copies of `layers` bound to one flat `params`."""
+
+    def __init__(self, layers):
+        self.layers = [replace(l) for l in layers]
+        self.params = bind_params(self.layers)
 
     @property
     def in_dim(self) -> int:
@@ -46,7 +48,7 @@ class AdapterHead:
         return out
 
     def clone(self) -> "AdapterHead":
-        return AdapterHead([l.clone() for l in self.layers])
+        return AdapterHead(self.layers)
 
     def save(self, path) -> None:
         write_layers(path, ADP1_MAGIC, self.layers)
@@ -175,8 +177,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig, head: AdapterHead | N
         head = head.clone()
     anchors, positives, negatives = _resolve(corpus, samples)
     n, k = negatives.shape[0], negatives.shape[1]
-    params = chain_params(head.layers)
-    opt = adamw_init(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    opt = adamw_init(head.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = []
     batch_index = 0
     for epoch in range(cfg.epochs):
@@ -203,8 +204,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig, head: AdapterHead | N
                 loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
             grads, _ = chain_backward(head.layers, caches, upstream, input_grad=False)
-            params = adamw_step(opt, params, grads)
-            set_chain_params(head.layers, params)
+            adamw_step(opt, head.params, grads)
             trace.append((batch_index, loss))
             batch_index += 1
     return head, trace

@@ -15,7 +15,7 @@ gradient without forming any Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,14 +24,16 @@ from .numeric import (
     ShapeError,
     adamw_init,
     adamw_step,
+    bind_params,
     chain_backward,
     chain_backward_jvp,
     chain_forward,
     chain_forward_jvp,
     chain_params,
     init_dense,
-    set_chain_params,
+    n_params,
 )
+from .data import FormatError
 from .serial import read_layers, write_layers
 
 FUS1_MAGIC = b"FUS1"
@@ -60,19 +62,21 @@ def _concat(parts):
 class FusionModel:
     """Branches -> concat -> head. The student: attr branch (m -> h_a relu
     -> 128 relu) + emb branch (d' -> 128) -> fusion (256 relu) -> classifier
-    (n_classes)."""
+    (n_classes). Every layer's weights and bias are views into the flat
+    vector `params`; gradients and Hessian-vector products share its layout."""
 
     MAGIC = FUS1_MAGIC
     LAYOUT = (2, 1, 2)  # attr, emb and head layers in a checkpoint
 
     def __init__(self, attr_branch, emb_branch, *head):
-        self.attr_branch = list(attr_branch)
-        self.emb_branch = list(emb_branch)
-        self.head = list(head)
+        # copies of the layers are bound to `params`; the caller's stay as they are
+        self.attr_branch, self.emb_branch, self.head = (
+            [replace(l) for l in chain] for chain in (attr_branch, emb_branch, head))
         if not self.attr_branch or not self.head:
             raise ShapeError("a model needs an attribute branch and a head")
         if sum(b[-1].out_dim for b in self.branches) != self.head[0].in_dim:
             raise ShapeError("branch output widths do not add up to the head input width")
+        self.params = bind_params(self.layers)
 
     @classmethod
     def _assemble(cls, attr_branch, emb_branch, head):
@@ -105,26 +109,25 @@ class FusionModel:
     def emb_dim(self) -> int:
         return self.emb_branch[0].in_dim
 
-    def _cuts(self, params):
-        """Per-branch slices of a flat parameter list, then the head's."""
-        out, off = [], 0
-        for chain in self.branches + [self.head]:
-            out.append(params[off : off + 2 * len(chain)])
-            off += 2 * len(chain)
-        return out
+    def _cuts(self, flat):
+        """Per-branch slices of a flat parameter-shaped vector, then the head's."""
+        return np.split(flat, np.cumsum([n_params(c) for c in self.branches]))
+
+    def _branch_columns(self, g):
+        """Per-branch column blocks of a head-input-shaped matrix."""
+        return np.split(g, np.cumsum([b[-1].out_dim for b in self.branches[:-1]]), axis=1)
 
     def get_params(self):
+        """The live per-layer arrays: views into `params`."""
         return chain_params(self.layers)
 
     def set_params(self, params):
-        set_chain_params(self.layers, params)
+        if params.shape != self.params.shape:
+            raise ShapeError(f"parameter shape {params.shape} != {self.params.shape}")
+        self.params[...] = params
 
     def clone(self) -> "FusionModel":
-        return self._assemble(
-            [l.clone() for l in self.attr_branch],
-            [l.clone() for l in self.emb_branch],
-            [l.clone() for l in self.head],
-        )
+        return self._assemble(self.attr_branch, self.emb_branch, self.head)
 
     def forward_cache(self, attrs, embs=None):
         outs, caches = [], []
@@ -139,15 +142,14 @@ class FusionModel:
         return self.forward_cache(attrs, embs)[0]
 
     def backward(self, cache, grad_logits):
+        """Flat gradient vector laid out like `params`."""
         caches, ch = cache
-        head_grads, gh = chain_backward(self.head, ch, grad_logits)
-        grads, off = [], 0
-        for branch, c in zip(self.branches, caches):
-            cols = slice(off, off + branch[-1].out_dim)
-            g, _ = chain_backward(branch, c, gh[:, cols], input_grad=False)
-            grads += g
-            off = cols.stop
-        return grads + head_grads
+        grads = np.empty_like(self.params)
+        *branch_out, head_out = self._cuts(grads)
+        _, gh = chain_backward(self.head, ch, grad_logits, out=head_out)
+        for branch, c, g, out in zip(self.branches, caches, self._branch_columns(gh), branch_out):
+            chain_backward(branch, c, g, input_grad=False, out=out)
+        return grads
 
     def loss_grads_logits(self, attrs, embs, labels, kd=None):
         """One forward/backward pass: (mean loss, gradients, logits)."""
@@ -160,25 +162,24 @@ class FusionModel:
         return loss, grads
 
     def hvp(self, attrs, embs, labels, vec, kd=None):
-        """Hessian-vector product of the mean loss w.r.t. the parameters."""
+        """Hessian-vector product of the mean loss w.r.t. the flat parameters."""
         *branch_vecs, head_vec = self._cuts(vec)
         outs, touts, caches = [], [], []
         for branch, x, dp in zip(self.branches, (attrs, embs), branch_vecs):
-            a, da, c = chain_forward_jvp(branch, dp, x, np.zeros_like(x))
+            a, da, c = chain_forward_jvp(branch, dp, x)  # inputs carry no tangent
             outs.append(a)
             touts.append(da)
             caches.append(c)
         logits, dlogits, ch = chain_forward_jvp(self.head, head_vec, _concat(outs), _concat(touts))
         _, gl = logits_loss(logits, labels, kd)
         dgl = logits_loss_jvp(logits, dlogits, kd)
-        dhead, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl)
-        dgrads, off = [], 0
-        for branch, dp, c in zip(self.branches, branch_vecs, caches):
-            cols = slice(off, off + branch[-1].out_dim)
-            d, _, _ = chain_backward_jvp(branch, dp, c, gh[:, cols], dgh[:, cols], input_grad=False)
-            dgrads += d
-            off = cols.stop
-        return dgrads + dhead
+        dgrads = np.empty_like(self.params)
+        *branch_out, head_out = self._cuts(dgrads)
+        _, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl, out=head_out)
+        cols = zip(self._branch_columns(gh), self._branch_columns(dgh))
+        for branch, dp, c, (g, dg), out in zip(self.branches, branch_vecs, caches, cols, branch_out):
+            chain_backward_jvp(branch, dp, c, g, dg, input_grad=False, out=out)
+        return dgrads
 
     def save(self, path) -> None:
         write_layers(path, self.MAGIC, self.layers)
@@ -188,8 +189,9 @@ class FusionModel:
         layers = read_layers(path, cls.MAGIC)
         n_attr, n_emb, n_head = cls.LAYOUT
         if len(layers) != n_attr + n_emb + n_head:
-            raise ShapeError(
-                f"expected {n_attr + n_emb + n_head} layers in checkpoint, got {len(layers)}"
+            raise FormatError(
+                f"{path}: expected {n_attr + n_emb + n_head} layers in a "
+                f"{cls.MAGIC.decode()} checkpoint, got {len(layers)}"
             )
         return cls._assemble(
             layers[:n_attr], layers[n_attr : n_attr + n_emb], layers[n_attr + n_emb :]
@@ -251,8 +253,7 @@ def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40,
     attrs = np.stack([a.attributes for a in attributes])
     labels = np.array([classes[a.family] for a in attributes], dtype=np.int64)
     teacher = init_teacher(attrs.shape[1], len(classes), seed)
-    params = teacher.get_params()
-    opt = adamw_init(params, lr=lr, weight_decay=weight_decay)
+    opt = adamw_init(teacher.params, lr=lr, weight_decay=weight_decay)
     trace = []
     n = len(attributes)
     for epoch in range(epochs):
@@ -260,8 +261,7 @@ def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40,
         for start in range(0, n, batch_size):
             ix = order[start : start + batch_size]
             _, grads = teacher.loss_and_grads(attrs[ix], None, labels[ix])
-            params = adamw_step(opt, params, grads)
-            teacher.set_params(params)
+            adamw_step(opt, teacher.params, grads)
         preds = teacher.forward(attrs).argmax(axis=1)
         trace.append(float(np.mean(preds == labels)))
     return teacher, trace

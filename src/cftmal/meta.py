@@ -93,10 +93,6 @@ def sample_episode(pool, cfg: MamlConfig, seed: int) -> Episode:
     return Episode(support, query, labels, seed)
 
 
-def _axpy(params, grads, scale):
-    return [p + scale * g for p, g in zip(params, grads)]
-
-
 def _support_batch(support, teacher, kd_cfg):
     """Stacked (attrs, embs, labels) of a support set and its inner-loop KD."""
     if not support:
@@ -113,13 +109,11 @@ def _adapt(model, batch, inner_steps: int, inner_lr: float):
     """
     attrs, embs, labels, kd = batch
     adapted = model.clone()
-    params = adapted.get_params()
     losses = []
     for _ in range(inner_steps):
         loss, grads = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
         losses.append(loss)
-        params = _axpy(params, grads, -inner_lr)
-        adapted.set_params(params)
+        adapted.params -= inner_lr * grads
     return adapted, losses
 
 
@@ -151,19 +145,16 @@ def second_order_meta_gradient(theta0, support_grad_fn, support_hvp_fn,
     theta_{t+1} = theta_t - inner_lr * support_grad(theta_t).
 
     Reverse accumulation: v <- v - inner_lr * H_support(theta_t) v, seeded
-    with the query gradient at the adapted parameters.
+    with the query gradient at the adapted parameters. Each update is one
+    array op; a list of equal-shape arrays counts as one array.
     """
-    thetas = [list(theta0)]
-    theta = list(theta0)
+    thetas = [theta0]
     for _ in range(inner_steps):
-        g = support_grad_fn(theta)
-        theta = _axpy(theta, g, -inner_lr)
-        thetas.append(theta)
-    v = query_grad_fn(theta)
+        thetas.append(np.subtract(thetas[-1], np.multiply(inner_lr, support_grad_fn(thetas[-1]))))
+    v = query_grad_fn(thetas[-1])
     for t in range(inner_steps - 1, -1, -1):
-        hv = support_hvp_fn(thetas[t], v)
-        v = _axpy(v, hv, -inner_lr)
-    return v, theta
+        v = np.subtract(v, np.multiply(inner_lr, support_hvp_fn(thetas[t], v)))
+    return v, thetas[-1]
 
 
 def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cfg):
@@ -191,7 +182,7 @@ def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cf
             return g
 
         meta_grad, _ = second_order_meta_gradient(
-            model.get_params(), support_grad, support_hvp, query_grad,
+            model.params, support_grad, support_hvp, query_grad,
             cfg.inner_steps, cfg.inner_lr,
         )
         q_loss, logits = query["loss"], query["logits"]
@@ -212,19 +203,16 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
     cfg.validate()
     if not episodes:
         raise ValueError("meta_step needs at least one episode")
-    params = model.get_params()
     if opt_state is None:
-        opt_state = adamw_init(params, lr=cfg.meta_lr)
+        opt_state = adamw_init(model.params, lr=cfg.meta_lr)
     grads = None
     losses, accs = [], []
     for ep in episodes:  # fixed task order keeps the reduction deterministic
         g, q_loss, q_acc = _task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
-        grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+        grads = g if grads is None else grads + g
         losses.append(q_loss)
         accs.append(q_acc)
-    grads = [g / len(episodes) for g in grads]
-    new_params = adamw_step(opt_state, params, grads)
-    model.set_params(new_params)
+    adamw_step(opt_state, model.params, grads / len(episodes))
     return opt_state, float(np.mean(losses)), float(np.mean(accs))
 
 

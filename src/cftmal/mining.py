@@ -73,23 +73,12 @@ def _family_rng(seed: int, family: str, salt: str = "") -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(h[:8], "little")])
 
 
-def select_positive(corpus: Corpus, family: str, mode: str = "medoid") -> PositiveSelection:
-    """Pick the single ground-truth record for a family.
-
-    mode "medoid" maximizes mean cosine similarity to all same-family
-    records; mode "explicit:<id>" names the record directly.
-    """
+def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
+    """Pick the single ground-truth record for a family: the medoid, the
+    record with the highest mean cosine similarity to its family."""
     fam_recs = [r for r in corpus.records if r.family == family]
     if not fam_recs:
         raise ValueError(f"unknown family {family!r}")
-    if mode.startswith("explicit:"):
-        rid = mode.split(":", 1)[1]
-        for r in fam_recs:
-            if r.id == rid:
-                return PositiveSelection(family, r)
-        raise ValueError(f"record {rid!r} not found in family {family!r}")
-    if mode != "medoid":
-        raise ValueError(f"unknown positive selection mode {mode!r}")
     if len(fam_recs) == 1:
         return PositiveSelection(family, fam_recs[0])
     vecs = np.stack([r.vector for r in fam_recs])
@@ -101,8 +90,8 @@ def select_positive(corpus: Corpus, family: str, mode: str = "medoid") -> Positi
     return PositiveSelection(family, fam_recs[best])
 
 
-def select_positives(corpus: Corpus, mode: str = "medoid") -> dict:
-    return {f: select_positive(corpus, f, mode) for f in corpus.families}
+def select_positives(corpus: Corpus) -> dict:
+    return {f: select_positive(corpus, f) for f in corpus.families}
 
 
 def _foreign_similarities(corpus: Corpus, positive: PositiveSelection):
@@ -265,12 +254,31 @@ def negative_sets_to_jsonl(path, sets) -> None:
     } for ns in sets))
 
 
+def _typed(value, kind, what: str):
+    """`value` if it is a JSON string (str), number (float) or list (list)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = {str: "string", float: "number", list: "list"}[kind]
+        raise TypeError(f"{what} must be a {name}, got {type(value).__name__}")
+    return value
+
+
+def _scored(d, key: str) -> list:
+    """The [[record_id, similarity], ...] list under `key`, as tuples."""
+    pairs = []
+    for i, p in enumerate(_typed(d[key], list, key)):
+        if not isinstance(p, list) or len(p) != 2:
+            raise TypeError(f"{key}[{i}] must be an [id, similarity] pair")
+        pairs.append((_typed(p[0], str, f"{key}[{i}] id"),
+                      _typed(p[1], float, f"{key}[{i}] similarity")))
+    return pairs
+
+
 def negative_sets_from_jsonl(path) -> list:
     return read_jsonl(path, lambda d: NegativeSet(
-        d["family"],
-        [(rid, s) for rid, s in d["hard"]],
-        [(rid, s) for rid, s in d["diverse"]],
-        d["threshold"],
+        _typed(d["family"], str, "family"),
+        _scored(d, "hard"),
+        _scored(d, "diverse"),
+        _typed(d["threshold"], float, "threshold"),
     ))
 
 
@@ -281,7 +289,10 @@ def samples_to_jsonl(path, samples) -> None:
 
 def samples_from_jsonl(path) -> list:
     return read_jsonl(path, lambda d: ContrastiveSample(
-        d["anchor"], d["positive"], list(d["negatives"])
+        _typed(d["anchor"], str, "anchor"),
+        _typed(d["positive"], str, "positive"),
+        [_typed(n, str, f"negatives[{i}]")
+         for i, n in enumerate(_typed(d["negatives"], list, "negatives"))],
     ))
 
 

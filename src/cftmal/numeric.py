@@ -2,12 +2,13 @@
 
 Everything operates on plain numpy arrays in float64. Gradients are
 written out explicitly per operation so each one can be checked against
-central finite differences in isolation.
+central finite differences in isolation. A model keeps its parameters in one
+flat vector laid out [W0, b0, W1, b1, ...], a layout only `param_views` knows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +55,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def clone(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """Glorot-uniform weights, zero bias."""
@@ -83,12 +81,12 @@ def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 
 def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np.ndarray | None = None,
-                   input_grad: bool = True):
+                   input_grad: bool = True, out=(None, None)):
     """Gradients of layer_forward.
 
-    Returns (grad_weights, grad_bias, grad_input). `z` may carry the
-    cached pre-activation from the forward pass; with input_grad False
-    the input gradient is not computed and comes back as None.
+    Returns (grad_weights, grad_bias, grad_input), the first two written
+    into `out`'s arrays if given. `z` may carry the cached pre-activation;
+    with input_grad False the input gradient is None.
     """
     x = _as_matrix(x, "x")
     upstream = _as_matrix(upstream, "upstream")
@@ -102,7 +100,9 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
         dz = upstream * (z > 0.0)
     else:
         dz = upstream
-    return dz.T @ x, dz.sum(axis=0), (dz @ layer.weights if input_grad else None)
+    gw, gb = out
+    return (np.matmul(dz.T, x, out=gw), np.sum(dz, axis=0, out=gb),
+            dz @ layer.weights if input_grad else None)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -128,53 +128,37 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad / n
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
+
+
 @dataclass
 class AdamWState:
-    """Decoupled-weight-decay Adam over a flat list of parameter arrays."""
+    """Decoupled-weight-decay Adam over one flat parameter vector."""
 
-    lr: float = 1e-3
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    weight_decay: float
+    m: np.ndarray  # first and second moment estimates, shaped like the parameters
+    v: np.ndarray
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adamw_init(params, lr=1e-3, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamWState:
-    return AdamWState(
-        lr=lr,
-        weight_decay=weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+def adamw_init(params, lr=1e-3, weight_decay=0.01) -> AdamWState:
+    return AdamWState(lr, weight_decay, np.zeros_like(params), np.zeros_like(params))
 
 
-def adamw_step(state: AdamWState, params, grads):
-    """One AdamW update. Mutates `state`, returns new parameter arrays."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeError("parameter/gradient/state length mismatch")
+def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One AdamW update of a flat parameter vector, in place. Mutates `state`."""
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ShapeError(f"shapes differ: {params.shape}, {grads.shape}, state {state.m.shape}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape or p.shape != state.m[i].shape:
-            raise ShapeError(f"parameter {i}: shape mismatch {p.shape} vs {g.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        new_p = p * (1.0 - state.lr * state.weight_decay)
-        new_p = new_p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        out.append(new_p)
-    return out
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grads * grads
+    m_hat = state.m / (1.0 - BETA1**state.step)
+    v_hat = state.v / (1.0 - BETA2**state.step)
+    params *= 1.0 - state.lr * state.weight_decay
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def chain_forward(layers, x):
@@ -188,39 +172,48 @@ def chain_forward(layers, x):
     return a, caches
 
 
-def chain_backward(layers, caches, upstream, input_grad: bool = True):
-    """Gradients of a layer stack: ([gW0, gb0, gW1, gb1, ...], grad_input).
+def chain_params(layers):
+    """The live [W0, b0, W1, b1, ...] arrays of a layer stack."""
+    return [a for layer in layers for a in (layer.weights, layer.bias)]
 
-    With input_grad False the first layer's input gradient is skipped and
-    grad_input is None.
-    """
-    grads = [None] * (2 * len(layers))
+
+def n_params(layers) -> int:
+    return sum(a.size for a in chain_params(layers))
+
+
+def param_views(layers, flat):
+    """[W0, b0, W1, b1, ...] as views of one flat vector laid out in that
+    order: the one place that knows a model's parameter layout."""
+    if flat.shape != (n_params(layers),):
+        raise ShapeError(f"flat vector shape {flat.shape} != ({n_params(layers)},)")
+    views, off = [], 0
+    for a in chain_params(layers):
+        views.append(flat[off : off + a.size].reshape(a.shape))
+        off += a.size
+    return views
+
+
+def bind_params(layers) -> np.ndarray:
+    """A new flat vector holding the layers' parameters, which become views into it."""
+    flat = np.concatenate([a.ravel() for a in chain_params(layers)])
+    views = param_views(layers, flat)
+    for layer, w, b in zip(layers, views[::2], views[1::2]):
+        layer.weights, layer.bias = w, b
+    return flat
+
+
+def chain_backward(layers, caches, upstream, input_grad: bool = True, out=None):
+    """Gradients of a layer stack: (flat [gW0, gb0, gW1, gb1, ...] vector,
+    written into `out` if given, grad_input). With input_grad False the
+    first layer's input gradient is skipped and grad_input is None."""
+    grads = np.empty(n_params(layers)) if out is None else out
+    views = param_views(layers, grads)
     g = upstream
     for i in range(len(layers) - 1, -1, -1):
         x, z = caches[i]
-        gw, gb, g = layer_backward(layers[i], x, g, z=z, input_grad=input_grad or i > 0)
-        grads[2 * i] = gw
-        grads[2 * i + 1] = gb
+        _, _, g = layer_backward(layers[i], x, g, z=z, input_grad=input_grad or i > 0,
+                                 out=views[2 * i : 2 * i + 2])
     return grads, g
-
-
-def chain_params(layers):
-    out = []
-    for layer in layers:
-        out.append(layer.weights)
-        out.append(layer.bias)
-    return out
-
-
-def set_chain_params(layers, params):
-    if len(params) != 2 * len(layers):
-        raise ShapeError("parameter list length mismatch")
-    for i, layer in enumerate(layers):
-        w, b = params[2 * i], params[2 * i + 1]
-        if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-            raise ShapeError(f"layer {i}: parameter shape mismatch")
-        layer.weights = w
-        layer.bias = b
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +222,30 @@ def set_chain_params(layers, params):
 # (value, tangent) propagates a directional derivative alongside the value.
 
 
-def layer_forward_jvp(layer: DenseLayer, dW: np.ndarray, db: np.ndarray, x: np.ndarray, dx: np.ndarray):
-    """Forward pass with a parameter/input tangent.
+def layer_forward_jvp(layer: DenseLayer, dW: np.ndarray, db: np.ndarray, x: np.ndarray, dx):
+    """Forward pass with a parameter/input tangent; dx None is a zero input
+    tangent, whose products are skipped.
 
     Returns (a, da, z) where a is the activation, da its tangent and z the
     cached pre-activation.
     """
     z = _preactivation(layer, x)
-    dz = dx @ layer.weights.T + x @ dW.T + db
+    dz = x @ dW.T + db if dx is None else dx @ layer.weights.T + x @ dW.T + db
     if layer.activation == "relu":
         mask = z > 0.0
         return np.maximum(z, 0.0), dz * mask, z
     return z, dz, z
 
 
-def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: bool = True):
+def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: bool = True,
+                       out=(None, None)):
     """Tangents of layer_backward's gradients, plus the input gradient.
 
-    Returns ((dgW, dgb), gx, dgx): the tangents of the weight and bias
-    gradients, the input gradient and its tangent. The value weight and
-    bias gradients are not computed. With input_grad False, gx and dgx
-    are None. The relu mask is treated as locally constant (its
-    derivative is zero almost everywhere).
+    Returns ((dgW, dgb), gx, dgx): the weight and bias gradient tangents
+    (written into `out`'s arrays if given; the values are not computed),
+    the input gradient and its tangent, None with input_grad False. dx
+    None is a zero input tangent. The relu mask is treated as locally
+    constant (its derivative is zero almost everywhere).
     """
     if layer.activation == "relu":
         mask = z > 0.0
@@ -259,8 +254,10 @@ def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: boo
     else:
         dz = upstream
         ddz = dupstream
-    dgW = ddz.T @ x + dz.T @ dx
-    dgb = ddz.sum(axis=0)
+    dgW = np.matmul(ddz.T, x, out=out[0])
+    if dx is not None:
+        dgW += dz.T @ dx
+    dgb = np.sum(ddz, axis=0, out=out[1])
     if not input_grad:
         return (dgW, dgb), None, None
     return (dgW, dgb), dz @ layer.weights, ddz @ layer.weights + dz @ dW
@@ -272,35 +269,36 @@ def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return p * (dz - inner)
 
 
-def chain_forward_jvp(layers, dparams, x, dx):
-    """chain_forward carrying a tangent: dparams is a flat [dW0, db0, ...]
-    list and dx the input tangent. Returns (output, output tangent, caches)."""
+def chain_forward_jvp(layers, dparams, x, dx=None):
+    """chain_forward carrying a tangent: dparams is the chain's flat
+    parameter tangent and dx the input tangent (None for zero). Returns
+    (output, output tangent, caches)."""
+    views = param_views(layers, dparams)
     caches = []
     a, da = x, dx
-    for i, layer in enumerate(layers):
-        dW, db = dparams[2 * i], dparams[2 * i + 1]
+    for layer, dW, db in zip(layers, views[::2], views[1::2]):
         a_next, da_next, z = layer_forward_jvp(layer, dW, db, a, da)
         caches.append((a, da, z))
         a, da = a_next, da_next
     return a, da, caches
 
 
-def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad: bool = True):
+def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad: bool = True,
+                       out=None):
     """Tangents of chain_backward's gradients.
 
-    Returns (grad tangents, grad_input, grad_input tangent), the first a
-    flat [dW0, db0, dW1, db1, ...] list. The value gradients are not
+    Returns (flat grad tangent vector, written into `out` if given,
+    grad_input, grad_input tangent). The value gradients are not
     computed: a Hessian-vector product needs only their tangents. With
-    input_grad False the first layer's input gradient and its tangent
-    are skipped and come back as None.
+    input_grad False the first layer's input gradient and its tangent are
+    skipped and come back as None.
     """
-    dgrads = [None] * (2 * len(layers))
+    dviews = param_views(layers, dparams)
+    dgrads = np.empty(n_params(layers)) if out is None else out
+    views = param_views(layers, dgrads)
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):
         x, dx, z = caches[i]
-        (dgw, dgb), g, dg = layer_backward_jvp(
-            layers[i], dparams[2 * i], x, dx, g, dg, z, input_grad=input_grad or i > 0
-        )
-        dgrads[2 * i] = dgw
-        dgrads[2 * i + 1] = dgb
+        _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dx, g, dg, z,
+                                      input_grad=input_grad or i > 0, out=views[2 * i : 2 * i + 2])
     return dgrads, g, dg

@@ -46,6 +46,8 @@ def read_layers(path, magic: bytes):
             raise FormatError(f"{path}: truncated parameters at byte {len(raw)}, need {end}")
         w = np.frombuffer(raw[off : off + 4 * n_w], dtype="<f4").reshape(out_dim, in_dim)
         b = np.frombuffer(raw[off + 4 * n_w : end], dtype="<f4")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FormatError(f"{path}: layer {i}: non-finite weight or bias")
         off = end
         layers.append(DenseLayer(w.astype(np.float64), b.astype(np.float64), ACTIVATIONS[act]))
     if off != len(raw):

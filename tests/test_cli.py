@@ -160,7 +160,16 @@ def test_missing_input_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ('{"diverse": [], "family": "family00", "threshold": 1.0}', "missing key 'hard'"),
     ('{"family": ', "Expecting value"),
-], ids=["missing-key", "bad-json"])
+    ('{"diverse": [], "family": ["family00"], "hard": [], "threshold": 1.0}',
+     "family must be a string, got list"),
+    ('{"diverse": [["family02-0015", 0.64], ["family02-0010", 0.52], ["family00-0017", 0.51], '
+     '["family02-0003", 0.45]], "family": "family01", "hard": [["family00-0009", "x"], '
+     '["family02-0005", 0.92], ["family00-0006", 0.92], ["family02-0013", 0.92], '
+     '["family02-0004", 0.92], ["family02-0001", 0.91]], "threshold": 1.0}',
+     "hard[0] similarity must be a number, got str"),
+    ('{"diverse": [["family02-0015"]], "family": "family01", "hard": [], "threshold": 1.0}',
+     "diverse[0] must be an [id, similarity] pair"),
+], ids=["missing-key", "bad-json", "list-family", "string-similarity", "short-pair"])
 def test_bad_negatives_row_names_file_and_line(tmp_path, capsys, line, message):
     out = tmp_path / "n"
     assert run("synth", "--out", str(out), "--families", "3", "--records", "20",

@@ -11,7 +11,7 @@ from cftmal.fusion import (
     init_teacher,
     teacher_train,
 )
-from cftmal.numeric import DenseLayer, ShapeError
+from cftmal.numeric import DenseLayer, ShapeError, param_views
 
 
 def tiny_fusion(rng):
@@ -66,7 +66,7 @@ def test_fusion_grads_match_fd():
     _, grads = model.loss_and_grads(attrs, embs, labels)
     fd = fd_param_grads(lambda: model.loss_and_grads(attrs, embs, labels)[0],
                         model.get_params())
-    for g, f in zip(grads, fd):
+    for g, f in zip(param_views(model.layers, grads), fd):
         assert np.abs(g - f).max() < 1e-5 * max(1.0, np.abs(f).max())
 
 
@@ -77,18 +77,18 @@ def test_fusion_hvp_matches_fd_of_gradient(kind):
     attrs = rng.standard_normal((5, 3))
     embs = rng.standard_normal((5, 5))
     labels = rng.integers(0, 3, 5)
-    params = model.get_params()
-    vec = [rng.standard_normal(p.shape) for p in params]
+    params = model.params.copy()
+    vec = rng.standard_normal(params.size)
     hv = model.hvp(attrs, embs, labels, vec)
     h = 1e-6
-    up_params = [p + h * v for p, v in zip(params, vec)]
-    down_params = [p - h * v for p, v in zip(params, vec)]
+    up_params = params + h * vec
+    down_params = params - h * vec
     model.set_params(up_params)
     _, gu = model.loss_and_grads(attrs, embs, labels)
     model.set_params(down_params)
     _, gd = model.loss_and_grads(attrs, embs, labels)
     model.set_params(params)
-    for hvi, u, d in zip(hv, gu, gd):
+    for hvi, u, d in zip(*(param_views(model.layers, v) for v in (hv, gu, gd))):
         fd = (u - d) / (2 * h)
         assert np.abs(hvi - fd).max() < 1e-4 * max(1.0, np.abs(fd).max())
 
@@ -133,7 +133,7 @@ def test_teacher_grads_match_fd():
     _, grads = teacher.loss_and_grads(attrs, None, labels)
     fd = fd_param_grads(lambda: teacher.loss_and_grads(attrs, None, labels)[0],
                         teacher.get_params())
-    for g, f in zip(grads, fd):
+    for g, f in zip(param_views(teacher.layers, grads), fd):
         assert np.abs(g - f).max() < 1e-5 * max(1.0, np.abs(f).max())
 
 

@@ -78,3 +78,30 @@ def test_text_formats_are_read_and_written_in_data_only():
             offenders += [f"{path.stem}:{node.lineno} imports {n}" for n in names
                           if n.split(".")[0] in TEXT_FORMAT_MODULES]
     assert offenders == []
+
+
+LAYER_ARRAYS = {"weights", "bias"}
+
+
+def test_layer_arrays_are_rebound_in_numeric_only():
+    """A layer's weights and bias are views into its model's flat `params`
+    vector; rebinding one anywhere but `numeric` would silently cut that
+    layer off from the vector the optimizer updates."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "numeric":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if (isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                            and t.attr in LAYER_ARRAYS):
+                        offenders.append(f"{path.stem}:{node.lineno} assigns .{t.attr}")
+    assert offenders == []

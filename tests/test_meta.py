@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.data import AttributeRecord, SyntheticSpec, generate_synthetic
-from cftmal.fusion import FusionModel, batch_arrays, init_fusion
+from cftmal.fusion import FusionModel, batch_arrays, init_fusion, teacher_train
 from cftmal.meta import (
     Episode,
     MamlConfig,
@@ -15,6 +15,7 @@ from cftmal.meta import (
     second_order_meta_gradient,
     _task_meta_gradient,
 )
+from cftmal.numeric import param_views
 
 
 def make_pool(seed=0, n_families=3, per_family=40):
@@ -143,16 +144,15 @@ def test_first_order_meta_gradient_is_adapted_query_gradient():
         adapted, _ = inner_adapt(model, ep.support, cfg.inner_steps, cfg.inner_lr)
         attrs, embs, labels = batch_arrays(ep.query)
         _, g = adapted.loss_and_grads(attrs, embs, labels)
-        expected = g if expected is None else [a + b for a, b in zip(expected, g)]
-    expected = [g / len(episodes) for g in expected]
+        expected = g if expected is None else expected + g
+    expected = expected / len(episodes)
 
     got = None
     for ep in episodes:
         g, _, _ = _task_meta_gradient(model, ep, cfg, None, None)
-        got = g if got is None else [a + b for a, b in zip(got, g)]
-    got = [g / len(episodes) for g in got]
-    for e, g in zip(expected, got):
-        assert np.abs(e - g).max() < 1e-10
+        got = g if got is None else got + g
+    got = got / len(episodes)
+    assert np.abs(expected - got).max() < 1e-10
 
 
 def test_second_order_meta_gradient_matches_fd_on_quadratic():
@@ -214,11 +214,9 @@ def test_second_order_on_model_matches_fd():
 
     def meta_objective():
         work = model.clone()
-        params = work.get_params()
         for _ in range(cfg.inner_steps):
             _, g = work.loss_and_grads(s_attrs, s_embs, s_labels)
-            params = [p - cfg.inner_lr * gi for p, gi in zip(params, g)]
-            work.set_params(params)
+            work.params -= cfg.inner_lr * g
         loss, _ = work.loss_and_grads(q_attrs, q_embs, q_labels)
         return loss
 
@@ -226,6 +224,7 @@ def test_second_order_on_model_matches_fd():
     rng = np.random.default_rng(8)
     h = 1e-5
     params = model.get_params()
+    meta_grads = param_views(model.layers, meta_grad)
     checked = 0
     for pi, p in enumerate(params):
         flat = p.reshape(-1)
@@ -237,7 +236,7 @@ def test_second_order_on_model_matches_fd():
             down = meta_objective()
             flat[i] = old
             fd = (up - down) / (2 * h)
-            got = meta_grad[pi].reshape(-1)[i]
+            got = meta_grads[pi].reshape(-1)[i]
             assert abs(got - fd) < 1e-3 * max(1.0, abs(fd))
             checked += 1
     assert checked >= 20
@@ -291,3 +290,28 @@ def test_maml_config_validation():
         MamlConfig(inner_lr=0.0).validate()
     with pytest.raises(ValueError):
         MamlConfig(order="third").validate()
+
+
+def test_layers_stay_views_of_the_flat_parameter_vector(tmp_path):
+    def assert_bound(model):
+        assert model.params.shape == (sum(p.size for p in model.get_params()),)
+        for layer in model.layers:
+            assert np.shares_memory(layer.weights, model.params)
+            assert np.shares_memory(layer.bias, model.params)
+
+    pool, n_classes, d = make_pool()
+    model = init_fusion(4, d, n_classes, seed=11)
+    assert_bound(model)
+    assert_bound(model.clone())
+    assert_bound(FusionModel(model.attr_branch, model.emb_branch, *model.head))
+    assert_bound(model)  # building a model from another's layers leaves them bound
+    model.save(tmp_path / "m.fus1")
+    assert_bound(FusionModel.load(tmp_path / "m.fus1"))
+    attrs = [AttributeRecord(s.id, f"f{s.label}", s.attributes) for s in pool]
+    teacher, _ = teacher_train(attrs, ["f0", "f1", "f2"], epochs=1)
+    assert_bound(teacher)
+    cfg = MamlConfig(inner_steps=1, inner_lr=0.05, tasks_per_meta_batch=1)
+    before = model.params.copy()
+    meta_step(model, [sample_episode(pool, cfg, seed=1)], cfg)
+    assert_bound(model)
+    assert not np.array_equal(before, model.params)

@@ -65,15 +65,8 @@ def test_select_positive_is_medoid():
 def test_select_positive_explicit_and_errors():
     rng = np.random.default_rng(1)
     corpus = random_corpus(rng, n_families=3)
-    rid = corpus.by_family()["f0"][2].id
-    pos = select_positive(corpus, "f0", mode=f"explicit:{rid}")
-    assert pos.record.id == rid
     with pytest.raises(ValueError):
         select_positive(corpus, "nope")
-    with pytest.raises(ValueError):
-        select_positive(corpus, "f0", mode="explicit:missing")
-    with pytest.raises(ValueError):
-        select_positive(corpus, "f0", mode="centroid")
 
 
 def test_mine_negatives_matches_brute_force_oracle():

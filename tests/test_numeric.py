@@ -15,7 +15,7 @@ from cftmal.numeric import (
     init_dense,
     layer_backward,
     layer_forward,
-    set_chain_params,
+    param_views,
     softmax,
     softmax_cross_entropy,
 )
@@ -118,29 +118,29 @@ def test_softmax_cross_entropy_label_range():
 
 def test_adamw_decoupled_decay():
     # with zero gradients, AdamW must still shrink weights by lr * wd
-    p = [np.full((2, 2), 10.0)]
+    p = np.full(4, 10.0)
     state = adamw_init(p, lr=0.1, weight_decay=0.5)
-    out = adamw_step(state, p, [np.zeros((2, 2))])
-    np.testing.assert_allclose(out[0], 10.0 * (1 - 0.1 * 0.5))
+    adamw_step(state, p, np.zeros(4))
+    np.testing.assert_allclose(p, 10.0 * (1 - 0.1 * 0.5))
 
 
 def test_adamw_first_step_magnitude():
     # on step 1 the bias-corrected update is lr * g / (|g| + eps)
-    p = [np.array([0.0])]
-    g = [np.array([3.0])]
+    p = np.array([0.0])
+    g = np.array([3.0])
     state = adamw_init(p, lr=0.01, weight_decay=0.0)
-    out = adamw_step(state, p, g)
-    np.testing.assert_allclose(out[0], -0.01, atol=1e-8)
+    adamw_step(state, p, g)
+    np.testing.assert_allclose(p, -0.01, atol=1e-8)
     assert state.step == 1
 
 
 def test_adamw_shape_mismatch():
-    p = [np.zeros((2,))]
+    p = np.zeros(2)
     state = adamw_init(p, lr=0.1)
     with pytest.raises(ShapeError):
-        adamw_step(state, p, [np.zeros((3,))])
+        adamw_step(state, p, np.zeros(3))
     with pytest.raises(ShapeError):
-        adamw_step(state, p + p, [np.zeros((2,))] * 2)
+        adamw_step(state, np.zeros(4), np.zeros(4))
 
 
 def test_chain_roundtrip_and_backward():
@@ -159,7 +159,7 @@ def test_chain_roundtrip_and_backward():
 
     grads, gx = chain_backward(layers, caches, upstream)
     params = chain_params(layers)
-    for g, p in zip(grads, params):
+    for g, p in zip(param_views(layers, grads), params):
         assert rel_err(g, fd_grad(loss, p)) < 1e-6
     assert rel_err(gx, fd_grad(loss, x)) < 1e-6
 
@@ -188,20 +188,22 @@ def test_chain_backward_jvp_matches_fd_of_chain_backward():
     x = rng.standard_normal((5, 3))
     upstream = rng.standard_normal((5, 2))
     params = chain_params(layers)
-    dparams = [rng.standard_normal(p.shape) for p in params]
+    dparams = rng.standard_normal(sum(p.size for p in params))
     dx = rng.standard_normal(x.shape)
     _, _, caches = chain_forward_jvp(layers, dparams, x, dx)
     dgrads, gx, dgx = chain_backward_jvp(layers, dparams, caches, upstream, np.zeros_like(upstream))
 
+    dviews = param_views(layers, dparams)
+
     def grads_at(step):
         moved = [DenseLayer(w + step * dw, b + step * db, l.activation)
                  for l, w, b, dw, db in zip(layers, params[::2], params[1::2],
-                                            dparams[::2], dparams[1::2])]
+                                            dviews[::2], dviews[1::2])]
         _, c = chain_forward(moved, x + step * dx)
         return chain_backward(moved, c, upstream)
 
     (up, gx_up), (down, gx_down) = grads_at(H), grads_at(-H)
-    for d, u, w in zip(dgrads, up, down):
+    for d, u, w in zip(*(param_views(layers, v) for v in (dgrads, up, down))):
         assert rel_err(d, (u - w) / (2 * H)) < 1e-6
     np.testing.assert_array_equal(gx, chain_backward(layers, [c[::2] for c in caches], upstream)[1])
     assert rel_err(dgx, (gx_up - gx_down) / (2 * H)) < 1e-6
@@ -212,10 +214,10 @@ def test_chain_backward_jvp_matches_fd_of_chain_backward():
         np.testing.assert_array_equal(a, b)
 
 
-def test_set_chain_params_validates():
+def test_param_views_validates():
     rng = np.random.default_rng(5)
     layers = [DenseLayer(rng.standard_normal((2, 2)), np.zeros(2))]
     with pytest.raises(ShapeError):
-        set_chain_params(layers, [np.zeros((2, 2))])
+        param_views(layers, np.zeros(4))
     with pytest.raises(ShapeError):
-        set_chain_params(layers, [np.zeros((3, 2)), np.zeros(2)])
+        param_views(layers, np.zeros(8))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.data import FormatError
+from cftmal.fusion import FusionModel, TeacherModel, init_teacher
 from cftmal.numeric import DenseLayer
 from cftmal.serial import read_layers, write_layers
 
@@ -19,3 +20,28 @@ def test_read_layers_rejects_trailing_bytes(tmp_path, magic):
     with pytest.raises(FormatError, match=f"m.bin: trailing bytes: layers end at byte {size}, "
                                           f"file is {size + 1} bytes"):
         read_layers(path, magic)
+
+
+@pytest.mark.parametrize("where", ["weight", "bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_read_layers_rejects_non_finite_parameters(tmp_path, where, value):
+    layers = [DenseLayer(np.ones((3, 2)), np.zeros(3), "relu"),
+              DenseLayer(np.ones((2, 3)), np.zeros(2), "identity")]
+    if where == "weight":
+        layers[1].weights[0, 2] = value
+    else:
+        layers[1].bias[1] = value
+    path = tmp_path / "m.adp1"
+    write_layers(path, b"ADP1", layers)
+    with pytest.raises(FormatError, match="m.adp1: layer 1: non-finite weight or bias"):
+        read_layers(path, b"ADP1")
+
+
+def test_model_load_names_file_on_wrong_layer_count(tmp_path):
+    path = tmp_path / "t.fus1"
+    teacher = init_teacher(attr_dim=4, n_classes=3, seed=0)
+    write_layers(path, FusionModel.MAGIC, teacher.layers)
+    with pytest.raises(FormatError, match="t.fus1: expected 5 layers in a FUS1 checkpoint, got 3"):
+        FusionModel.load(path)
+    teacher.save(path)
+    assert TeacherModel.load(path).n_classes == 3
