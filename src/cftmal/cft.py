@@ -23,7 +23,7 @@ from .numeric import (
     init_dense,
 )
 from .serial import read_layers, write_layers
-from .similarity import ZeroNormWarning
+from .similarity import ZeroNormWarning, normalize_rows
 
 ADP1_MAGIC = b"ADP1"
 
@@ -46,9 +46,6 @@ class AdapterHead:
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = chain_forward(self.layers, x)
         return out
-
-    def clone(self) -> "AdapterHead":
-        return AdapterHead(self.layers)
 
     def save(self, path) -> None:
         write_layers(path, ADP1_MAGIC, self.layers)
@@ -87,13 +84,6 @@ class CftConfig:
             raise ValueError(f"unknown denominator mode {self.denominator_mode!r}")
 
 
-def _normalize(v: np.ndarray):
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    zero = n[..., 0] == 0.0
-    safe = np.where(n == 0.0, 1.0, n)
-    return v / safe, n, zero
-
-
 def _info_nce_batch(anchors: np.ndarray, candidates: np.ndarray, tau: float):
     """Mean InfoNCE loss over a batch, candidate 0 being the positive.
 
@@ -104,8 +94,8 @@ def _info_nce_batch(anchors: np.ndarray, candidates: np.ndarray, tau: float):
     b, c, d = candidates.shape
     if anchors.shape != (b, d):
         raise ShapeError(f"anchors {anchors.shape} vs candidates {candidates.shape}")
-    a_hat, a_norm, a_zero = _normalize(anchors)
-    c_hat, c_norm, c_zero = _normalize(candidates)
+    a_hat, a_norm, a_zero = normalize_rows(anchors)
+    c_hat, c_norm, c_zero = normalize_rows(candidates)
     if a_zero.any() or c_zero.any():
         warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
     s = np.einsum("bd,bcd->bc", a_hat, c_hat)  # cosine; zero rows give 0
@@ -163,7 +153,7 @@ def _resolve(corpus: Corpus, samples):
     return anchors, positives, negatives
 
 
-def train_adapter(samples, corpus: Corpus, cfg: CftConfig, head: AdapterHead | None = None):
+def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
     """AdamW-train the adapter on contrastive samples.
 
     Returns (head, trace) where trace is a list of (batch_index, mean_loss).
@@ -171,10 +161,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig, head: AdapterHead | N
     cfg.validate()
     if not samples:
         raise ValueError("no training samples")
-    if head is None:
-        head = init_adapter(corpus.dim, cfg.hidden_dim, cfg.output_dim, cfg.seed)
-    else:
-        head = head.clone()
+    head = init_adapter(corpus.dim, cfg.hidden_dim, cfg.output_dim, cfg.seed)
     anchors, positives, negatives = _resolve(corpus, samples)
     n, k = negatives.shape[0], negatives.shape[1]
     opt = adamw_init(head.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
@@ -239,9 +226,7 @@ def refine(head: AdapterHead, corpus: Corpus) -> Corpus:
     if corpus.dim != head.in_dim:
         raise ShapeError(f"corpus dim {corpus.dim} != adapter in dim {head.in_dim}")
     vecs = np.stack([r.vector for r in corpus.records])
-    out = head.forward(vecs)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    out = out / np.where(norms == 0.0, 1.0, norms)
+    out = normalize_rows(head.forward(vecs))[0]
     records = [
         DescriptionRecord(r.id, r.family, out[i])
         for i, r in enumerate(corpus.records)

@@ -194,9 +194,21 @@ def _cmd_samples(args, cfg):
                         f"({mcfg.samples_per_anchor} per anchor) -> {path}")
 
 
+def _mismatch(path, other, detail) -> ValueError:
+    """Two inputs of one stage that do not fit together, both named."""
+    return ValueError(f"{path} does not fit {other}: {detail}")
+
+
 def _cmd_train_cft(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    samples = mining.samples_from_jsonl(_get(args, cfg, "samples", "samples.jsonl"))
+    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
+    samples_path = _get(args, cfg, "samples", "samples.jsonl")
+    corpus = data.load_embeddings(emb_path)
+    samples = mining.samples_from_jsonl(samples_path)
+    known = corpus.by_id()
+    for i, s in enumerate(samples, start=1):
+        missing = [rid for rid in (s.anchor, s.positive, *s.negatives) if rid not in known]
+        if missing:
+            raise _mismatch(samples_path, emb_path, f"sample {i}: no record {missing[0]!r}")
     ccfg = _config(args, cfg, cft.CftConfig, _stage_seed(args, cfg, "train-cft"))
     head, trace = cft.train_adapter(samples, corpus, ccfg)
     adapter_path = _outpath(args, cfg, "adapter.adp1")
@@ -208,8 +220,13 @@ def _cmd_train_cft(args, cfg):
 
 
 def _cmd_refine(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    head = cft.AdapterHead.load(_get(args, cfg, "adapter", "adapter.adp1"))
+    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
+    adapter_path = _get(args, cfg, "adapter", "adapter.adp1")
+    corpus = data.load_embeddings(emb_path)
+    head = cft.AdapterHead.load(adapter_path)
+    if head.in_dim != corpus.dim:
+        raise _mismatch(adapter_path, emb_path,
+                        f"input width {head.in_dim} in the adapter, {corpus.dim} in the embeddings")
     refined = cft.refine(head, corpus)
     path = _outpath(args, cfg, "refined.emb1")
     data.write_embeddings(path, refined)
@@ -232,14 +249,38 @@ def _cmd_teacher(args, cfg):
                         f"final train accuracy {trace[-1]:.3f} -> {path}")
 
 
-def _cmd_maml(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "refined.emb1"))
-    attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
-    pool = build_pool(corpus, attrs)
-    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "maml"))
+def _meta_inputs(args, cfg):
+    """The embeddings, attribute pool, optional teacher and KD config of
+    maml and eval, and `fit(model, path)`, which checks that a loaded
+    student or teacher fits the embeddings and attributes."""
+    emb_path = _get(args, cfg, "embeddings", "refined.emb1")
+    attr_path = _get(args, cfg, "attributes", "attributes.csv")
+    corpus = data.load_embeddings(emb_path)
+    attrs = data.load_attributes(attr_path)
+    try:
+        pool = build_pool(corpus, attrs)
+    except ValueError as exc:
+        raise _mismatch(attr_path, emb_path, exc) from exc
+
+    def fit(model, path):
+        checks = [("attribute width", model.attr_dim, pool[0].attributes.shape[0], attr_path),
+                  ("class count", model.n_classes, len(corpus.families), emb_path)]
+        if model.emb_branch:  # a student; a teacher reads attributes alone
+            checks.append(("embedding width", model.emb_dim, corpus.dim, emb_path))
+        for what, have, want, other in checks:
+            if have != want:
+                raise _mismatch(path, other, f"{what} {have} in the model, {want} in the input")
+        return model
+
     teacher_path = _get(args, cfg, "teacher", None)
-    teacher = TeacherModel.load(teacher_path) if teacher_path else None
+    teacher = fit(TeacherModel.load(teacher_path), teacher_path) if teacher_path else None
     kd = _config(args, cfg, KdConfig) if teacher is not None else None
+    return corpus, pool, teacher, kd, fit
+
+
+def _cmd_maml(args, cfg):
+    corpus, pool, teacher, kd, _ = _meta_inputs(args, cfg)
+    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "maml"))
     attr_dim = pool[0].attributes.shape[0]
     student = init_fusion(attr_dim, corpus.dim, len(corpus.families), mamlcfg.seed)
     student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
@@ -257,13 +298,9 @@ def _cmd_maml(args, cfg):
 
 def _cmd_eval(args, cfg):
     sizes = _get(args, cfg, "support_sizes", [10])
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "refined.emb1"))
-    attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
-    pool = build_pool(corpus, attrs)
-    student = FusionModel.load(_get(args, cfg, "student", "student.fus1"))
-    teacher_path = _get(args, cfg, "teacher", None)
-    teacher = TeacherModel.load(teacher_path) if teacher_path else None
-    kd = _config(args, cfg, KdConfig) if teacher is not None else None
+    corpus, pool, teacher, kd, fit = _meta_inputs(args, cfg)
+    student_path = _get(args, cfg, "student", "student.fus1")
+    student = fit(FusionModel.load(student_path), student_path)
     mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "eval"))
     rows = evaluate_few_shot(
         student, pool, mamlcfg, _get(args, cfg, "episodes", 20),
@@ -288,9 +325,6 @@ def _cmd_ablate(args, cfg):
     records = _get(args, cfg, "records", 200)
 
     def bench(seed):
-        corpus, attrs = metrics.benchmark_data(seed)
-        if families == 10 and records == 200:
-            return corpus, attrs
         spec = data.SyntheticSpec(n_families=families, records_per_family=records, seed=seed)
         return data.generate_synthetic(spec)
 

@@ -12,7 +12,7 @@ from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta, write_c
 from .distill import KdConfig
 from .fusion import init_fusion, init_teacher, teacher_train
 from .meta import MamlConfig, build_pool, evaluate_few_shot, maml_train
-from .similarity import normalize_rows
+from .similarity import cosine_gram
 
 METHODS = ("attributes_only", "pretrained_embeddings", "random_cft", "similarity_cft")
 
@@ -48,10 +48,7 @@ def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray 
     classes, inv = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise ValueError(f"silhouette needs at least 2 labels, got {len(classes)}")
-    if sims is None:
-        normed, _ = normalize_rows(vectors)
-        sims = normed @ normed.T
-    dist = 1.0 - sims
+    dist = 1.0 - (cosine_gram(vectors) if sims is None else sims)
     n = len(labels)
     rows = np.arange(n)
     onehot = np.zeros((n, len(classes)))
@@ -82,8 +79,7 @@ def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
     vectors = np.stack([r.vector for r in corpus.records])
     classes = corpus.class_index()
     labels = np.array([classes[r.family] for r in corpus.records])
-    normed, _ = normalize_rows(vectors)
-    sims = normed @ normed.T
+    sims = cosine_gram(vectors)
     intra, inter = _pair_means(sims, labels)
     per_family = {}
     for fam, lbl in classes.items():
@@ -177,77 +173,80 @@ def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSett
                  seed: int) -> dict:
     """One end-to-end run: split -> (mine -> cft -> refine) -> teacher ->
     MAML(+KD) -> few-shot eval. Returns accuracy and embedding-quality gaps."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    out = {"method": method, "seed": seed}
+    return _run_seed((method,), corpus, attributes, settings, seed)[0]
+
+
+def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
+              seed: int) -> list:
+    """`run_pipeline` for each of `methods` on one seed. The split, raw gap,
+    positives and teacher depend on the seed alone and are made once."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     with _stage("split"):
         (train_c, train_a), (test_c, test_a) = split_meta(
             corpus, attributes, settings.holdout_fraction, seed
         )
-
-    out["raw_gap"] = embedding_quality(train_c).gap
-
-    if method in ("random_cft", "similarity_cft"):
-        mcfg = replace(settings.mining, seed=seed)
+    raw_gap = embedding_quality(train_c).gap
+    if {"random_cft", "similarity_cft"} & set(methods):
         with _stage("mine"):
             positives = mining.select_positives(train_c)
-            strategy = "similarity" if method == "similarity_cft" else "random"
-            neg_sets = mining.mine_all(train_c, positives, mcfg, strategy)
-        with _stage("samples"):
-            samples = mining.build_all_samples(train_c, positives, neg_sets, mcfg)
-        with _stage("cft"):
-            head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
-            train_c = cft.refine(head, train_c)
-            test_c = cft.refine(head, test_c) if len(test_c.records) else test_c
-        out["refined_gap"] = embedding_quality(train_c).gap
-
-    with _stage("pool"):
-        train_pool = build_pool(train_c, train_a)
-        test_pool = build_pool(test_c, test_a)
-        attr_dim = train_pool[0].attributes.shape[0]
-        n_classes = len(corpus.families)
-        mamlcfg = replace(settings.maml, seed=seed)
-
-    with _stage("maml"):
-        if method == "attributes_only":
-            student = init_teacher(attr_dim, n_classes, seed)
-            student, _ = maml_train(student, train_pool, mamlcfg)
-            teacher = None
-            kd = None
-        else:
+    if set(methods) - {"attributes_only"}:
+        with _stage("maml"):
             teacher, _ = teacher_train(
                 train_a, corpus.families,
                 lr=settings.teacher_lr, epochs=settings.teacher_epochs, seed=seed,
             )
-            student = init_fusion(attr_dim, train_c.dim, n_classes, seed)
-            kd = settings.kd
-            student, _ = maml_train(student, train_pool, mamlcfg, teacher=teacher, kd_cfg=kd)
-
-    with _stage("eval"):
-        rows = evaluate_few_shot(
-            student, test_pool, mamlcfg, settings.eval_episodes,
-            teacher=teacher, kd_cfg=kd,
-        )
-    out["accuracy"] = rows[0]["mean_accuracy"]
-    out["eval_rows"] = rows
-    return out
+    mcfg = replace(settings.mining, seed=seed)
+    mamlcfg = replace(settings.maml, seed=seed)
+    results = []
+    for method in methods:
+        out = {"method": method, "seed": seed, "raw_gap": raw_gap}
+        refined_train, refined_test = train_c, test_c
+        if method in ("random_cft", "similarity_cft"):
+            with _stage("mine"):
+                strategy = "similarity" if method == "similarity_cft" else "random"
+                neg_sets = mining.mine_all(train_c, positives, mcfg, strategy)
+            with _stage("samples"):
+                samples = mining.build_all_samples(train_c, positives, neg_sets, mcfg)
+            with _stage("cft"):
+                head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
+                refined_train = cft.refine(head, train_c)
+                refined_test = cft.refine(head, test_c) if len(test_c.records) else test_c
+            out["refined_gap"] = embedding_quality(refined_train).gap
+        with _stage("pool"):
+            train_pool = build_pool(refined_train, train_a)
+            test_pool = build_pool(refined_test, test_a)
+            attr_dim, n_classes = train_pool[0].attributes.shape[0], len(corpus.families)
+        kd_teacher, kd = (None, None) if method == "attributes_only" else (teacher, settings.kd)
+        with _stage("maml"):
+            student = (init_teacher(attr_dim, n_classes, seed) if kd_teacher is None
+                       else init_fusion(attr_dim, refined_train.dim, n_classes, seed))
+            student, _ = maml_train(student, train_pool, mamlcfg, teacher=kd_teacher, kd_cfg=kd)
+        with _stage("eval"):
+            rows = evaluate_few_shot(
+                student, test_pool, mamlcfg, settings.eval_episodes,
+                teacher=kd_teacher, kd_cfg=kd,
+            )
+        out["accuracy"] = rows[0]["mean_accuracy"]
+        out["eval_rows"] = rows
+        results.append(out)
+    return results
 
 
 def run_ablation(data, settings: AblationSettings, seeds, methods=METHODS) -> AblationReport:
     """Run every method over every seed.
 
     `data` is either a fixed (corpus, attributes) pair or a callable
-    seed -> (corpus, attributes) regenerating the benchmark per seed.
+    seed -> (corpus, attributes) regenerating the benchmark per seed. Each
+    seed is one pass over all methods; `details` stay method-major.
     """
-    details = []
+    per_seed = [_run_seed(methods, *(data(seed) if callable(data) else data), settings, seed)
+                for seed in seeds]
+    details = [results[i] for i in range(len(methods)) for results in per_seed]
     rows = []
-    for method in methods:
-        accs = []
-        for seed in seeds:
-            corpus, attributes = data(seed) if callable(data) else data
-            result = run_pipeline(method, corpus, attributes, settings, seed)
-            details.append(result)
-            accs.append(result["accuracy"])
+    for i, method in enumerate(methods):
+        accs = [results[i]["accuracy"] for results in per_seed]
         rows.append({
             "method": method,
             "mean_accuracy": float(np.mean(accs)),

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .data import Corpus, DescriptionRecord, read_jsonl, write_csv, write_jsonl
-from .similarity import normalize_rows
+from .similarity import cosine_gram, normalize_rows
 
 
 class ShortageError(ValueError):
@@ -82,8 +82,7 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     if len(fam_recs) == 1:
         return PositiveSelection(family, fam_recs[0])
     vecs = np.stack([r.vector for r in fam_recs])
-    normed, _ = normalize_rows(vecs)
-    sims = normed @ normed.T
+    sims = cosine_gram(vecs)
     means = (sims.sum(axis=1) - 1.0) / (len(fam_recs) - 1)
     # deterministic tie-break on id
     best = max(range(len(fam_recs)), key=lambda i: (means[i], fam_recs[i].id))
@@ -100,7 +99,7 @@ def _foreign_similarities(corpus: Corpus, positive: PositiveSelection):
     if not foreign:
         return []
     vecs = np.stack([r.vector for r in foreign])
-    normed, _ = normalize_rows(vecs)
+    normed = normalize_rows(vecs)[0]
     e = positive.embedding
     n = np.linalg.norm(e)
     en = e / n if n > 0 else e

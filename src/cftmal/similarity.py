@@ -27,10 +27,18 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
-def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize rows; zero rows stay zero. Returns (normed, zero_mask)."""
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    zero = norms[:, 0] == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return m / safe, zero
+def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-normalize along the last axis; zero rows stay zero.
 
+    Returns (normed, norms, zero_mask), `norms` keeping the reduced axis.
+    """
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    zero = norms[..., 0] == 0.0
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return m / safe, norms, zero
+
+
+def cosine_gram(m: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities of the rows of m; zero rows give 0."""
+    normed = normalize_rows(m)[0]
+    return normed @ normed.T

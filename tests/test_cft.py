@@ -176,7 +176,7 @@ def test_adapter_save_load_roundtrip(tmp_path):
     head.save(path)
     back = AdapterHead.load(path)
     # checkpoint stores float32, so compare through the same quantization
-    quant = head.clone()
+    quant = AdapterHead(head.layers)
     for l in quant.layers:
         l.weights = l.weights.astype(np.float32).astype(np.float64)
         l.bias = l.bias.astype(np.float32).astype(np.float64)

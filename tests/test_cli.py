@@ -185,3 +185,81 @@ def test_bad_negatives_row_names_file_and_line(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert code == 1
     assert f"cftmal samples: error: {negatives}: line 2: {message}" in err
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """Artifacts of small synth runs that differ in width, family count or records."""
+    root = tmp_path_factory.mktemp("mismatch")
+    shapes = {"a": ("3", "30", "8", "4"), "wide": ("3", "30", "16", "6"),
+              "four": ("4", "30", "8", "4"), "short": ("3", "20", "8", "4")}
+    for name, (families, records, dim, attr_dim) in shapes.items():
+        assert run("synth", "--out", str(root / name), "--families", families,
+                   "--records", records, "--dim", dim, "--attr-dim", attr_dim) == 0
+    a, four = root / "a", root / "four"
+    assert run("mine", "--out", str(a), "--embeddings", str(a / "embeddings.emb1"),
+               "--n-hard", "6", "--n-diverse", "4", "--threshold", "1.0") == 0
+    assert run("samples", "--out", str(a), "--embeddings", str(a / "embeddings.emb1"),
+               "--negatives", str(a / "negatives.jsonl"), "--hard-per-sample", "3",
+               "--diverse-per-sample", "2", "--samples-per-anchor", "1") == 0
+    assert run("train-cft", "--out", str(a), "--embeddings", str(a / "embeddings.emb1"),
+               "--samples", str(a / "samples.jsonl"), "--hidden-dim", "8",
+               "--output-dim", "8") == 0
+    for out in (a, four):
+        assert run("teacher", "--out", str(out), "--attributes", str(out / "attributes.csv"),
+                   "--teacher-epochs", "1") == 0
+    assert run("maml", "--out", str(a), "--embeddings", str(a / "embeddings.emb1"),
+               "--attributes", str(a / "attributes.csv"), "--meta-iterations", "1",
+               "--inner-steps", "1", "--n-support", "5", "--n-query", "5",
+               "--tasks-per-meta-batch", "1") == 0
+    samples = (a / "samples.jsonl").read_text().splitlines()
+    (a / "bad_samples.jsonl").write_text(
+        "\n".join([samples[0].replace('"anchor": "family00-0000"', '"anchor": "nope"')]
+                  + samples[1:]) + "\n")
+    assert '"nope"' in (a / "bad_samples.jsonl").read_text()
+    return root
+
+
+# (stage, its inputs as (flag, synth run, file), the two files the error names, detail)
+MISMATCHES = {
+    "train-cft-unknown-record": (
+        "train-cft", [("embeddings", "a", "embeddings.emb1"), ("samples", "a", "bad_samples.jsonl")],
+        ["samples", "embeddings"], "sample 1: no record 'nope'"),
+    "refine-width": (
+        "refine", [("embeddings", "wide", "embeddings.emb1"), ("adapter", "a", "adapter.adp1")],
+        ["adapter", "embeddings"], "input width 8 in the adapter, 16 in the embeddings"),
+    "maml-teacher-classes": (
+        "maml", [("embeddings", "a", "embeddings.emb1"), ("attributes", "a", "attributes.csv"),
+                 ("teacher", "four", "teacher.tch1")],
+        ["teacher", "embeddings"], "class count 4 in the model, 3 in the input"),
+    "maml-teacher-attribute-width": (
+        "maml", [("embeddings", "a", "embeddings.emb1"), ("attributes", "wide", "attributes.csv"),
+                 ("teacher", "a", "teacher.tch1")],
+        ["teacher", "attributes"], "attribute width 4 in the model, 6 in the input"),
+    "maml-missing-attribute-rows": (
+        "maml", [("embeddings", "a", "embeddings.emb1"), ("attributes", "short", "attributes.csv")],
+        ["attributes", "embeddings"], "record 'family00-0020' has no attribute row"),
+    "eval-student-width": (
+        "eval", [("embeddings", "wide", "embeddings.emb1"), ("attributes", "a", "attributes.csv"),
+                 ("student", "a", "student.fus1")],
+        ["student", "embeddings"], "embedding width 8 in the model, 16 in the input"),
+    "eval-student-classes": (
+        "eval", [("embeddings", "four", "embeddings.emb1"), ("attributes", "four", "attributes.csv"),
+                 ("student", "a", "student.fus1")],
+        ["student", "embeddings"], "class count 3 in the model, 4 in the input"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHES))
+def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys, case):
+    stage, inputs, named, detail = MISMATCHES[case]
+    paths = {flag: str(mismatched / run_dir / name) for flag, run_dir, name in inputs}
+    argv = [stage, "--out", str(tmp_path)]
+    for flag, path in paths.items():
+        argv += [f"--{flag}", path]
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    first, second = (paths[flag] for flag in named)
+    assert f"cftmal {stage}: error: {first} does not fit {second}: {detail}" in err

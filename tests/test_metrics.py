@@ -1,10 +1,14 @@
+import collections
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from cftmal import metrics, mining
 from cftmal.data import Corpus, DescriptionRecord, SyntheticSpec, generate_synthetic
 from cftmal.metrics import (
+    METHODS,
     AblationSettings,
     PipelineStageError,
     ablation_to_csv,
@@ -182,8 +186,45 @@ def test_run_ablation_and_csv(tmp_path):
     assert float(rows[1][1]) == report.rows[0]["mean_accuracy"]
 
 
-def test_run_ablation_accepts_fixed_data():
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the stages that depend on the seed alone."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "split_meta", counted("split", metrics.split_meta))
+    monkeypatch.setattr(metrics, "teacher_train", counted("teacher", metrics.teacher_train))
+    monkeypatch.setattr(mining, "select_positives", counted("positives", mining.select_positives))
+    return counts
+
+
+def test_run_ablation_accepts_fixed_data(calls):
     corpus, attrs = tiny_data(3)
     report = run_ablation((corpus, attrs), tiny_settings(), seeds=[0],
                           methods=("attributes_only",))
     assert len(report.rows) == 1
+    assert calls == {"split": 1}  # no teacher and no positives for attributes_only
+
+
+def test_run_ablation_is_one_pass_per_seed_and_matches_run_pipeline(calls):
+    def data(seed):
+        calls["data"] += 1
+        return tiny_data(seed)
+
+    settings = tiny_settings()
+    report = run_ablation(data, settings, seeds=[0, 1], methods=METHODS)
+    assert calls == {"data": 2, "split": 2, "teacher": 2, "positives": 2}
+    calls.clear()
+    want = [run_pipeline(m, *tiny_data(s), settings, s) for m in METHODS for s in (0, 1)]
+    # run_pipeline alone still does every stage for its one method
+    assert calls == {"split": 8, "teacher": 6, "positives": 4}
+    assert report.details == want
+    assert json.dumps(report.details, default=repr) == json.dumps(want, default=repr)
+    assert [r["accuracies"] for r in report.rows] == [
+        [want[2 * i]["accuracy"], want[2 * i + 1]["accuracy"]] for i in range(len(METHODS))
+    ]
