@@ -198,22 +198,43 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
 
 
 def _info_nce_in_batch(za, zp, zn, tau):
-    """Denominator over own positive plus every negative in the batch."""
+    """Mean InfoNCE loss whose denominator holds each anchor's own positive
+    and every negative in the batch.
+
+    za, zp: (B, d); zn: (B, k, d). Returns (loss, grad_za, grad_zp, grad_zn).
+    The B x B*k negative scores are one GEMM and the gradients two more;
+    gradient directions touching a zero-norm vector are zero.
+    """
     bsz, k, dd = zn.shape
-    flat_n = zn.reshape(bsz * k, dd)
-    ga = np.zeros_like(za)
-    gp = np.zeros_like(zp)
-    gn_flat = np.zeros_like(flat_n)
-    total = 0.0
-    for i in range(bsz):
-        cands = np.concatenate([zp[i][None, :], flat_n])[None, :, :]
-        loss_i, ga_i, gc_i = _info_nce_batch(za[i][None, :], cands, tau)
-        total += loss_i
-        ga[i] = ga_i[0]
-        gp[i] += gc_i[0, 0]
-        gn_flat += gc_i[0, 1:]
+    a_hat, a_norm, a_zero = normalize_rows(za)
+    p_hat, p_norm, p_zero = normalize_rows(zp)
+    n_hat, n_norm, n_zero = normalize_rows(zn.reshape(bsz * k, dd))
+    if a_zero.any() or p_zero.any() or n_zero.any():
+        warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
+    s_pos = np.einsum("bd,bd->b", a_hat, p_hat)
+    s_neg = a_hat @ n_hat.T  # (B, B*k) cosines; zero rows give 0
+    s = np.concatenate([s_pos[:, None], s_neg], axis=1)
+    logits = s / tau
+    logits -= logits.max(axis=1, keepdims=True)  # stabilization (mandatory at tau=0.07)
+    e = np.exp(logits)
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-np.log(p[:, 0])))
+    # d(loss_i)/ds_ij, zeroed on zero-norm anchors, positives and negatives
+    w = p
+    w[:, 0] -= 1.0
+    w /= tau
+    w[a_zero] = 0.0
+    w_pos, w_neg = w[:, 0:1], w[:, 1:]
+    w_pos[p_zero] = 0.0
+    w_neg[:, n_zero] = 0.0
+    # cosine gradients: ds/da = (c_hat - s*a_hat)/|a|, ds/dc = (a_hat - s*c_hat)/|c|
+    ga = w_pos * p_hat + w_neg @ n_hat - (w * s).sum(axis=1, keepdims=True) * a_hat
+    ga /= np.where(a_zero[:, None], 1.0, a_norm)
+    gp = w_pos * (a_hat - s_pos[:, None] * p_hat) / np.where(p_zero[:, None], 1.0, p_norm)
+    gn = w_neg.T @ a_hat - (w_neg * s_neg).sum(axis=0)[:, None] * n_hat
+    gn /= np.where(n_zero[:, None], 1.0, n_norm)
     scale = 1.0 / bsz
-    return total * scale, ga * scale, gp * scale, gn_flat.reshape(bsz, k, dd) * scale
+    return loss, ga * scale, gp * scale, gn.reshape(bsz, k, dd) * scale
 
 
 def refine(head: AdapterHead, corpus: Corpus) -> Corpus:

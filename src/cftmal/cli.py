@@ -184,8 +184,15 @@ def _cmd_mine(args, cfg):
 
 
 def _cmd_samples(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    sets = mining.negative_sets_from_jsonl(_get(args, cfg, "negatives", "negatives.jsonl"))
+    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
+    negatives_path = _get(args, cfg, "negatives", "negatives.jsonl")
+    corpus = data.load_embeddings(emb_path)
+    sets = mining.negative_sets_from_jsonl(negatives_path)
+    known = corpus.by_id()
+    for ns in sets:
+        for rid, _ in ns.hard + ns.diverse:
+            if rid not in known:
+                raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
     mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "samples"))
     samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
     path = _outpath(args, cfg, "samples.jsonl")

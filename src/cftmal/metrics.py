@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,8 +67,9 @@ def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray 
     return float(scores.mean())
 
 
-def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
-    """Intra/inter mean cosine, separation gap and cosine silhouette."""
+def _labelled_gram(corpus: Corpus):
+    """Stacked vectors, class labels, class index and cosine Gram matrix of
+    a corpus with at least 2 families of at least 2 records each."""
     if len(corpus.families) < 2:
         raise ValueError("need at least 2 families")
     counts = {f: 0 for f in corpus.families}
@@ -79,7 +81,20 @@ def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
     vectors = np.stack([r.vector for r in corpus.records])
     classes = corpus.class_index()
     labels = np.array([classes[r.family] for r in corpus.records])
-    sims = cosine_gram(vectors)
+    return vectors, labels, classes, cosine_gram(vectors)
+
+
+def separation_gap(corpus: Corpus) -> float:
+    """Intra- minus inter-family mean cosine: `embedding_quality(corpus).gap`
+    without the per-family means and the silhouette."""
+    _, labels, _, sims = _labelled_gram(corpus)
+    intra, inter = _pair_means(sims, labels)
+    return intra - inter
+
+
+def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
+    """Intra/inter mean cosine, separation gap and cosine silhouette."""
+    vectors, labels, classes, sims = _labelled_gram(corpus)
     intra, inter = _pair_means(sims, labels)
     per_family = {}
     for fam, lbl in classes.items():
@@ -169,6 +184,16 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
+def _check_episode_fits(name: str, pool: Corpus, need: int) -> None:
+    """Raise unless every family of the pool has `need` records for one episode."""
+    counts = Counter(r.family for r in pool.records)
+    for fam in pool.families:
+        if counts[fam] < need:
+            raise ValueError(
+                f"{name} pool: family {fam!r} has {counts[fam]} records, episode needs {need}"
+            )
+
+
 def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSettings,
                  seed: int) -> dict:
     """One end-to-end run: split -> (mine -> cft -> refine) -> teacher ->
@@ -187,7 +212,10 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
         (train_c, train_a), (test_c, test_a) = split_meta(
             corpus, attributes, settings.holdout_fraction, seed
         )
-    raw_gap = embedding_quality(train_c).gap
+        need = settings.maml.n_support + settings.maml.n_query
+        _check_episode_fits("train", train_c, need)  # MAML samples its episodes here
+        _check_episode_fits("meta-test", test_c, need)  # and eval here
+    raw_gap = separation_gap(train_c)
     if {"random_cft", "similarity_cft"} & set(methods):
         with _stage("mine"):
             positives = mining.select_positives(train_c)
@@ -213,7 +241,7 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
                 head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
                 refined_train = cft.refine(head, train_c)
                 refined_test = cft.refine(head, test_c) if len(test_c.records) else test_c
-            out["refined_gap"] = embedding_quality(refined_train).gap
+            out["refined_gap"] = separation_gap(refined_train)
         with _stage("pool"):
             train_pool = build_pool(refined_train, train_a)
             test_pool = build_pool(refined_test, test_a)

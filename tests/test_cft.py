@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from cftmal.cft import AdapterHead, CftConfig, info_nce, init_adapter, refine, train_adapter
+from cftmal.cft import (
+    AdapterHead,
+    CftConfig,
+    _info_nce_batch,
+    _info_nce_in_batch,
+    info_nce,
+    init_adapter,
+    refine,
+    train_adapter,
+)
 from cftmal.data import Corpus, DescriptionRecord
 from cftmal.mining import MiningConfig, build_samples, mine_negatives, select_positives
 from cftmal.numeric import ShapeError
@@ -95,6 +104,76 @@ def test_info_nce_validation():
         info_nce(np.ones(3), np.ones(3), [np.ones(3)], tau=0.0)
     with pytest.raises(ShapeError):
         info_nce(np.ones(3), np.ones(4), [np.ones(3)], tau=0.07)
+
+
+def per_anchor_in_batch(za, zp, zn, tau):
+    """Reference in-batch InfoNCE: anchor i scored against [zp[i], *every negative]."""
+    bsz, k, d = zn.shape
+    flat_n = zn.reshape(bsz * k, d)
+    ga, gp, gn = np.zeros_like(za), np.zeros_like(zp), np.zeros_like(flat_n)
+    total = 0.0
+    for i in range(bsz):
+        cands = np.concatenate([zp[i][None, :], flat_n])[None, :, :]
+        loss_i, ga_i, gc_i = _info_nce_batch(za[i][None, :], cands, tau)
+        total += loss_i
+        ga[i] = ga_i[0]
+        gp[i] = gc_i[0, 0]
+        gn += gc_i[0, 1:]
+    return total / bsz, ga / bsz, gp / bsz, gn.reshape(bsz, k, d) / bsz
+
+
+def in_batch_inputs(bsz, k, d, seed=0):
+    rng = np.random.default_rng([seed, bsz, k, d])
+    return (rng.standard_normal((bsz, d)), rng.standard_normal((bsz, d)),
+            rng.standard_normal((bsz, k, d)))
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    """Equal to `rtol` relative to the largest magnitude in `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("bsz, k, d", [(1, 1, 3), (1, 8, 16), (4, 3, 7), (32, 8, 128)])
+def test_info_nce_in_batch_matches_per_anchor_loop(bsz, k, d):
+    za, zp, zn = in_batch_inputs(bsz, k, d)
+    for tau in (0.07, 1.0):
+        got = _info_nce_in_batch(za, zp, zn, tau)
+        want = per_anchor_in_batch(za, zp, zn, tau)
+        for g, w in zip(got, want):
+            assert_close_rel(g, w)
+
+
+def test_info_nce_in_batch_gradients_match_fd():
+    za, zp, zn = in_batch_inputs(3, 2, 4, seed=1)
+    tau, h = 0.07, 1e-6
+    _, ga, gp, gn = _info_nce_in_batch(za, zp, zn, tau)
+    for which, grad in enumerate((ga, gp, gn)):
+        fd = np.zeros_like(grad)
+        for ix in np.ndindex(grad.shape):
+            up = [x.copy() for x in (za, zp, zn)]
+            down = [x.copy() for x in (za, zp, zn)]
+            up[which][ix] += h
+            down[which][ix] -= h
+            fd[ix] = (_info_nce_in_batch(*up, tau)[0] - _info_nce_in_batch(*down, tau)[0]) / (2 * h)
+        assert np.abs(fd - grad).max() < 1e-4 * max(1.0, np.abs(fd).max())
+
+
+def test_info_nce_in_batch_zero_norm_rows():
+    za, zp, zn = in_batch_inputs(4, 3, 5, seed=2)
+    za[1] = 0.0
+    zp[2] = 0.0
+    zn[0, 1] = 0.0
+    with pytest.warns(ZeroNormWarning):
+        loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, 0.07)
+    assert np.isfinite(loss)
+    assert all(np.isfinite(g).all() for g in (ga, gp, gn))
+    assert not ga[1].any() and not gp[2].any() and not gn[0, 1].any()
+    with pytest.warns(ZeroNormWarning):
+        want = per_anchor_in_batch(za, zp, zn, 0.07)
+    for g, w in zip((loss, ga, gp, gn), want):
+        assert_close_rel(g, w)
 
 
 def tiny_setup(seed=0, n_families=3, per_family=15, d=8):

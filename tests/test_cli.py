@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cftmal import mining
 from cftmal.cft import CftConfig
 from cftmal.cli import _build_parser, _config, main
 
@@ -138,6 +139,16 @@ def test_full_chain_small(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ablate_rejects_unfillable_episode_at_split(tmp_path, capsys):
+    # 40 records a family leave 10 for the meta-test pool; an episode needs 10 + 20
+    code = run("ablate", "--out", str(tmp_path), "--seeds", "2", "--families", "4",
+               "--records", "40", "--meta-iterations", "5", "--episodes", "3",
+               "--teacher-epochs", "3", "--epochs", "1")
+    assert code == 1
+    assert ("cftmal ablate: error: stage 'split' failed: meta-test pool: "
+            "family 'family00' has 10 records, episode needs 30") in capsys.readouterr().err
+
+
 def test_histogram_requires_family(tmp_path, capsys):
     out = tmp_path / "h"
     assert run("synth", "--out", str(out), "--families", "2", "--records", "10",
@@ -217,11 +228,17 @@ def mismatched(tmp_path_factory):
         "\n".join([samples[0].replace('"anchor": "family00-0000"', '"anchor": "nope"')]
                   + samples[1:]) + "\n")
     assert '"nope"' in (a / "bad_samples.jsonl").read_text()
+    sets = mining.negative_sets_from_jsonl(a / "negatives.jsonl")
+    sets[0].hard[0] = ("ghost-record", sets[0].hard[0][1])
+    mining.negative_sets_to_jsonl(a / "bad_negatives.jsonl", sets)
     return root
 
 
 # (stage, its inputs as (flag, synth run, file), the two files the error names, detail)
 MISMATCHES = {
+    "samples-unknown-negative": (
+        "samples", [("embeddings", "a", "embeddings.emb1"), ("negatives", "a", "bad_negatives.jsonl")],
+        ["negatives", "embeddings"], "family family00: no record 'ghost-record'"),
     "train-cft-unknown-record": (
         "train-cft", [("embeddings", "a", "embeddings.emb1"), ("samples", "a", "bad_samples.jsonl")],
         ["samples", "embeddings"], "sample 1: no record 'nope'"),

@@ -18,6 +18,7 @@ from cftmal.metrics import (
     projection_to_csv,
     run_ablation,
     run_pipeline,
+    separation_gap,
 )
 from cftmal.cft import CftConfig
 from cftmal.distill import KdConfig
@@ -52,6 +53,17 @@ def test_embedding_quality_validation():
     recs.append(DescriptionRecord("c", "B", np.ones(2)))
     with pytest.raises(ValueError, match="need >= 2"):
         embedding_quality(Corpus(recs, 2))
+
+
+def test_separation_gap_is_the_embedding_quality_gap():
+    corpus, _ = tiny_data(4)
+    assert separation_gap(corpus) == embedding_quality(corpus).gap
+    assert separation_gap(axis_corpus()) == embedding_quality(axis_corpus()).gap
+    recs = [DescriptionRecord("a", "A", np.ones(2)),
+            DescriptionRecord("b", "A", np.ones(2)),
+            DescriptionRecord("c", "B", np.ones(2))]
+    with pytest.raises(ValueError, match="need >= 2"):
+        separation_gap(Corpus(recs, 2))
 
 
 def brute_silhouette(vectors, labels):
@@ -168,6 +180,17 @@ def test_run_pipeline_stage_error_names_stage():
     with pytest.raises(PipelineStageError) as exc:
         run_pipeline("attributes_only", corpus, attrs, settings, seed=0)
     assert exc.value.stage == "split"
+
+
+def test_unfillable_train_pool_fails_at_split(calls):
+    corpus, attrs = tiny_data(5)  # 80 records a family: 60 train, 20 meta-test
+    settings = tiny_settings()
+    settings.maml.n_support, settings.maml.n_query = 25, 40
+    with pytest.raises(PipelineStageError, match="train pool: family 'family00' has 60 records, "
+                                                 "episode needs 65") as exc:
+        run_pipeline("similarity_cft", corpus, attrs, settings, seed=0)
+    assert exc.value.stage == "split"
+    assert calls == {"split": 1}  # before the positives and the teacher
 
 
 def test_run_ablation_and_csv(tmp_path):
