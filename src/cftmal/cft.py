@@ -138,19 +138,13 @@ def info_nce(anchor, positive, negatives, tau: float):
     return loss, ga[0], gc[0, 0], [gc[0, 1 + i] for i in range(len(negatives))]
 
 
-def _resolve(corpus: Corpus, samples):
-    by_id = corpus.by_id()
-
-    def vec(rid):
-        try:
-            return by_id[rid].vector
-        except KeyError:
-            raise ValueError(f"unresolvable record ref {rid!r}") from None
-
-    anchors = np.stack([vec(s.anchor) for s in samples])
-    positives = np.stack([vec(s.positive) for s in samples])
-    negatives = np.stack([np.stack([vec(n) for n in s.negatives]) for s in samples])
-    return anchors, positives, negatives
+def _resolve(corpus: Corpus, samples) -> np.ndarray:
+    """(n, 2 + k) corpus rows of each sample's anchor, positive and k negatives."""
+    try:
+        return np.array([[corpus.rows[rid] for rid in (s.anchor, s.positive, *s.negatives)]
+                         for s in samples], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"unresolvable record ref {exc.args[0]!r}") from None
 
 
 def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
@@ -162,22 +156,18 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
     if not samples:
         raise ValueError("no training samples")
     head = init_adapter(corpus.dim, cfg.hidden_dim, cfg.output_dim, cfg.seed)
-    anchors, positives, negatives = _resolve(corpus, samples)
-    n, k = negatives.shape[0], negatives.shape[1]
+    sample_rows = _resolve(corpus, samples)
+    n, k = sample_rows.shape[0], sample_rows.shape[1] - 2
     opt = adamw_init(head.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = []
     batch_index = 0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 0xC47, epoch]).permutation(n)
         for start in range(0, n, cfg.batch_size):
-            ix = order[start : start + cfg.batch_size]
-            bsz = len(ix)
-            # rows per sample: anchor, positive, negatives
-            flat = np.concatenate([
-                anchors[ix],
-                positives[ix],
-                negatives[ix].reshape(bsz * k, -1),
-            ])
+            rows = sample_rows[order[start : start + cfg.batch_size]]
+            bsz = len(rows)
+            # the batch's anchors, then its positives, then its negatives
+            flat = corpus.vectors[np.concatenate([rows[:, 0], rows[:, 1], rows[:, 2:].ravel()])]
             out, caches = chain_forward(head.layers, flat)
             za = out[:bsz]
             zp = out[bsz : 2 * bsz]
@@ -246,8 +236,7 @@ def refine(head: AdapterHead, corpus: Corpus) -> Corpus:
     """
     if corpus.dim != head.in_dim:
         raise ShapeError(f"corpus dim {corpus.dim} != adapter in dim {head.in_dim}")
-    vecs = np.stack([r.vector for r in corpus.records])
-    out = normalize_rows(head.forward(vecs))[0]
+    out = normalize_rows(head.forward(corpus.vectors))[0]
     records = [
         DescriptionRecord(r.id, r.family, out[i])
         for i, r in enumerate(corpus.records)

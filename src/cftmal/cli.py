@@ -97,6 +97,11 @@ def _get(args, cfg, dest, default):
 
 # Flags whose name differs from the config dataclass field they set.
 FLAG_NAMES = {
+    "n_families": "families",
+    "records_per_family": "records",
+    "embedding_dim": "dim",
+    "attribute_dim": "attr_dim",
+    "inter_cluster_overlap": "overlap",
     "temperature": "tau",
     "learning_rate": "lr",
     "denominator_mode": "denominator",
@@ -106,12 +111,12 @@ FLAG_NAMES = {
 
 
 def _config(args, cfg, cls, seed=None):
-    """A stage config dataclass: every field with a typed default takes its
-    flag, else its config value, else that default; `seed` sets the seed."""
+    """A stage config dataclass: every field takes its flag, else its config
+    value, else its default; `seed` sets the seed."""
     values = {
         f.name: _get(args, cfg, FLAG_NAMES.get(f.name, f.name), f.default)
         for f in dataclasses.fields(cls)
-        if f.name != "seed" and f.default is not None
+        if f.name != "seed"
     }
     if seed is not None:
         values["seed"] = seed
@@ -139,16 +144,7 @@ def _sha256(path) -> str:
 
 
 def _cmd_synth(args, cfg):
-    spec = data.SyntheticSpec(
-        n_families=_get(args, cfg, "families", 10),
-        records_per_family=_get(args, cfg, "records", 200),
-        embedding_dim=_get(args, cfg, "dim", 64),
-        attribute_dim=_get(args, cfg, "attr_dim", 32),
-        cluster_spread=_get(args, cfg, "cluster_spread", 0.4),
-        inter_cluster_overlap=_get(args, cfg, "overlap", 0.7),
-        attribute_spread=_get(args, cfg, "attribute_spread", 5.0),
-        seed=_stage_seed(args, cfg, "synth"),
-    )
+    spec = _config(args, cfg, data.SyntheticSpec, _stage_seed(args, cfg, "synth"))
     corpus, attrs = data.generate_synthetic(spec)
     emb_path = _outpath(args, cfg, "embeddings.emb1")
     attr_path = _outpath(args, cfg, "attributes.csv")
@@ -188,10 +184,9 @@ def _cmd_samples(args, cfg):
     negatives_path = _get(args, cfg, "negatives", "negatives.jsonl")
     corpus = data.load_embeddings(emb_path)
     sets = mining.negative_sets_from_jsonl(negatives_path)
-    known = corpus.by_id()
     for ns in sets:
         for rid, _ in ns.hard + ns.diverse:
-            if rid not in known:
+            if rid not in corpus.rows:
                 raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
     mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "samples"))
     samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
@@ -211,9 +206,8 @@ def _cmd_train_cft(args, cfg):
     samples_path = _get(args, cfg, "samples", "samples.jsonl")
     corpus = data.load_embeddings(emb_path)
     samples = mining.samples_from_jsonl(samples_path)
-    known = corpus.by_id()
     for i, s in enumerate(samples, start=1):
-        missing = [rid for rid in (s.anchor, s.positive, *s.negatives) if rid not in known]
+        missing = [rid for rid in (s.anchor, s.positive, *s.negatives) if rid not in corpus.rows]
         if missing:
             raise _mismatch(samples_path, emb_path, f"sample {i}: no record {missing[0]!r}")
     ccfg = _config(args, cfg, cft.CftConfig, _stage_seed(args, cfg, "train-cft"))
@@ -328,8 +322,8 @@ def _cmd_ablate(args, cfg):
     settings.cft.epochs = _get(args, cfg, "epochs", settings.cft.epochs)
     settings.eval_episodes = _get(args, cfg, "episodes", settings.eval_episodes)
     settings.teacher_epochs = _get(args, cfg, "teacher_epochs", settings.teacher_epochs)
-    families = _get(args, cfg, "families", 10)
-    records = _get(args, cfg, "records", 200)
+    families = _get(args, cfg, "families", data.SyntheticSpec.n_families)
+    records = _get(args, cfg, "records", data.SyntheticSpec.records_per_family)
 
     def bench(seed):
         spec = data.SyntheticSpec(n_families=families, records_per_family=records, seed=seed)

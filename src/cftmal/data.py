@@ -34,22 +34,37 @@ class AttributeRecord:
 
 @dataclass
 class Corpus:
+    """Description records and the row layout every stage reads: `vectors`,
+    a read-only (n, dim) float64 matrix whose row i is `records[i].vector`;
+    `rows`, record id -> row; `labels`, each row's index into `families`."""
+
     records: list
     dim: int
     families: list = field(default_factory=list)  # sorted label set
+    vectors: np.ndarray = field(init=False, repr=False)
+    rows: dict = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.families:
             self.families = sorted({r.family for r in self.records})
-        rows = {}
+        classes = self.class_index()
+        self.rows = {}
+        self.labels = np.empty(len(self.records), dtype=np.int64)
+        self.vectors = np.empty((len(self.records), self.dim))
         for i, r in enumerate(self.records):
             if r.vector.shape != (self.dim,):
                 raise FormatError(
                     f"record {r.id!r}: dim {r.vector.shape[0]} != corpus dim {self.dim}"
                 )
-            first = rows.setdefault(r.id, i)
+            first = self.rows.setdefault(r.id, i)
             if first != i:
                 raise FormatError(f"duplicate record id {r.id!r} at rows {first} and {i}")
+            if r.family not in classes:
+                raise FormatError(f"record {r.id!r}: family {r.family!r} is not a corpus family")
+            self.labels[i] = classes[r.family]
+            self.vectors[i] = r.vector
+        self.vectors.flags.writeable = False
 
     def __len__(self):
         return len(self.records)
@@ -60,11 +75,8 @@ class Corpus:
             out[r.family].append(r)
         return out
 
-    def by_id(self) -> dict:
-        return {r.id: r for r in self.records}
-
     def class_index(self) -> dict:
-        """Dense class indices assigned by sorted label order."""
+        """Dense class indices assigned by `families` order."""
         return {f: i for i, f in enumerate(self.families)}
 
 
@@ -73,8 +85,7 @@ def write_embeddings(path, corpus: Corpus) -> None:
     with open(path, "wb") as fh:
         fh.write(EMB1_MAGIC)
         fh.write(struct.pack("<II", len(corpus.records), corpus.dim))
-        block = np.stack([r.vector for r in corpus.records]) if corpus.records else np.zeros((0, corpus.dim))
-        fh.write(block.astype("<f4").tobytes())
+        fh.write(corpus.vectors.astype("<f4").tobytes())
         for r in corpus.records:
             fh.write(json.dumps({"id": r.id, "family": r.family}, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
@@ -326,9 +337,6 @@ DRIFT_FRACTION = 0.55
 DRIFT_LO, DRIFT_HI = 0.45, 0.7
 
 
-MIN_RECORDS_PER_FAMILY = 30  # 10 support + 20 query: one episode
-
-
 def split_meta(corpus: Corpus, attributes, holdout_fraction: float, seed: int):
     """Stratified per-family split into (train pool, meta-test pool).
 
@@ -344,18 +352,12 @@ def split_meta(corpus: Corpus, attributes, holdout_fraction: float, seed: int):
             raise ValueError(f"record {r.id!r} has no attribute row")
     rng = np.random.default_rng(seed)
     train_recs, test_recs = [], []
-    for fam in corpus.families:
-        fam_recs = [r for r in corpus.records if r.family == fam]
-        if len(fam_recs) < MIN_RECORDS_PER_FAMILY:
-            raise ValueError(
-                f"family {fam!r} has {len(fam_recs)} records, "
-                f"needs >= {MIN_RECORDS_PER_FAMILY} for one episode"
-            )
-        n_test = int(round(len(fam_recs) * holdout_fraction))
-        order = rng.permutation(len(fam_recs))
-        test_ix = set(order[:n_test].tolist())
-        for i, r in enumerate(fam_recs):
-            (test_recs if i in test_ix else train_recs).append(r)
+    for label in range(len(corpus.families)):
+        fam_rows = np.flatnonzero(corpus.labels == label)
+        n_test = int(round(len(fam_rows) * holdout_fraction))
+        test_ix = set(rng.permutation(len(fam_rows))[:n_test].tolist())
+        for i, row in enumerate(fam_rows.tolist()):
+            (test_recs if i in test_ix else train_recs).append(corpus.records[row])
 
     def pool(recs):
         c = Corpus(recs, corpus.dim, families=list(corpus.families))

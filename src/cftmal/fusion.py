@@ -32,6 +32,7 @@ from .numeric import (
     chain_params,
     init_dense,
     n_params,
+    rebind_params,
 )
 from .data import FormatError
 from .serial import read_layers, write_layers
@@ -68,20 +69,22 @@ class FusionModel:
     MAGIC = FUS1_MAGIC
     LAYOUT = (2, 1, 2)  # attr, emb and head layers in a checkpoint
 
-    def __init__(self, attr_branch, emb_branch, *head):
-        # copies of the layers are bound to `params`; the caller's stay as they are
+    def __init__(self, attr_branch, emb_branch, *head, params=None):
+        # copies of the layers are bound to `params`, a copy of their values
+        # unless given; the caller's layers stay as they are
         self.attr_branch, self.emb_branch, self.head = (
             [replace(l) for l in chain] for chain in (attr_branch, emb_branch, head))
         if not self.attr_branch or not self.head:
             raise ShapeError("a model needs an attribute branch and a head")
         if sum(b[-1].out_dim for b in self.branches) != self.head[0].in_dim:
             raise ShapeError("branch output widths do not add up to the head input width")
-        self.params = bind_params(self.layers)
+        self.params = (bind_params(self.layers) if params is None
+                       else rebind_params(self.layers, params))
 
     @classmethod
-    def _assemble(cls, attr_branch, emb_branch, head):
+    def _assemble(cls, attr_branch, emb_branch, head, params=None):
         model = cls.__new__(cls)
-        FusionModel.__init__(model, attr_branch, emb_branch, *head)
+        FusionModel.__init__(model, attr_branch, emb_branch, *head, params=params)
         return model
 
     @property
@@ -121,13 +124,13 @@ class FusionModel:
         """The live per-layer arrays: views into `params`."""
         return chain_params(self.layers)
 
-    def set_params(self, params):
-        if params.shape != self.params.shape:
-            raise ShapeError(f"parameter shape {params.shape} != {self.params.shape}")
-        self.params[...] = params
+    def bound_to(self, params) -> "FusionModel":
+        """This model with its layers viewing the flat vector `params`, which
+        is not copied: a pass through it reads `params` as they stand."""
+        return self._assemble(self.attr_branch, self.emb_branch, self.head, params)
 
     def clone(self) -> "FusionModel":
-        return self._assemble(self.attr_branch, self.emb_branch, self.head)
+        return self.bound_to(self.params.copy())
 
     def forward_cache(self, attrs, embs=None):
         outs, caches = [], []
@@ -234,8 +237,10 @@ def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
     return TeacherModel(attr_branch, classifier)
 
 
-def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40,
-                  batch_size: int = 64, seed: int = 0, weight_decay: float = 0.01):
+TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01
+
+
+def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40, seed: int = 0):
     """AdamW training of the teacher on attribute records alone.
 
     `families` fixes the class order. Returns (teacher, accuracy trace
@@ -253,13 +258,13 @@ def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40,
     attrs = np.stack([a.attributes for a in attributes])
     labels = np.array([classes[a.family] for a in attributes], dtype=np.int64)
     teacher = init_teacher(attrs.shape[1], len(classes), seed)
-    opt = adamw_init(teacher.params, lr=lr, weight_decay=weight_decay)
+    opt = adamw_init(teacher.params, lr=lr, weight_decay=TEACHER_WEIGHT_DECAY)
     trace = []
     n = len(attributes)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 0x7EA, epoch]).permutation(n)
-        for start in range(0, n, batch_size):
-            ix = order[start : start + batch_size]
+        for start in range(0, n, TEACHER_BATCH_SIZE):
+            ix = order[start : start + TEACHER_BATCH_SIZE]
             _, grads = teacher.loss_and_grads(attrs[ix], None, labels[ix])
             adamw_step(opt, teacher.params, grads)
         preds = teacher.forward(attrs).argmax(axis=1)

@@ -34,7 +34,6 @@ class MamlConfig:
     tasks_per_meta_batch: int = 4
     meta_iterations: int = 40
     order: str = "first"  # or "second"
-    n_way: int | None = None  # None = all families in the pool
     n_support: int = 10
     n_query: int = 20
     seed: int = 0
@@ -54,9 +53,8 @@ def build_pool(corpus: Corpus, attributes) -> list:
     An attribute row must carry its record's family.
     """
     attr_by_id = {a.id: a for a in attributes}
-    classes = corpus.class_index()
     pool = []
-    for r in corpus.records:
+    for r, label in zip(corpus.records, corpus.labels.tolist()):
         a = attr_by_id.get(r.id)
         if a is None:
             raise ValueError(f"record {r.id!r} has no attribute row")
@@ -65,7 +63,7 @@ def build_pool(corpus: Corpus, attributes) -> list:
                 f"record {r.id!r}: attribute row family {a.family!r} "
                 f"!= embedding family {r.family!r}"
             )
-        pool.append(MultimodalSample(r.id, a.attributes, r.vector, classes[r.family]))
+        pool.append(MultimodalSample(r.id, a.attributes, r.vector, label))
     return pool
 
 
@@ -76,9 +74,6 @@ def sample_episode(pool, cfg: MamlConfig, seed: int) -> Episode:
         by_label.setdefault(s.label, []).append(s)
     labels = sorted(by_label)
     rng = np.random.default_rng([seed, 0xE915])
-    if cfg.n_way is not None and cfg.n_way < len(labels):
-        pick = rng.choice(len(labels), size=cfg.n_way, replace=False)
-        labels = [labels[i] for i in sorted(pick.tolist())]
     need = cfg.n_support + cfg.n_query
     support, query = [], []
     for lbl in labels:
@@ -163,21 +158,17 @@ def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cf
     kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
     if cfg.order == "second":
         s_attrs, s_embs, s_labels, kd_inner = support
-        work = model.clone()
         query = {}
 
         def support_grad(params):
-            work.set_params(params)
-            _, g = work.loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
+            _, g = model.bound_to(params).loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
             return g
 
         def support_hvp(params, vec):
-            work.set_params(params)
-            return work.hvp(s_attrs, s_embs, s_labels, vec, kd=kd_inner)
+            return model.bound_to(params).hvp(s_attrs, s_embs, s_labels, vec, kd=kd_inner)
 
         def query_grad(params):
-            work.set_params(params)
-            query["loss"], g, query["logits"] = work.loss_grads_logits(
+            query["loss"], g, query["logits"] = model.bound_to(params).loss_grads_logits(
                 q_attrs, q_embs, q_labels, kd=kd_outer)
             return g
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,36 +67,30 @@ def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray 
 
 
 def _labelled_gram(corpus: Corpus):
-    """Stacked vectors, class labels, class index and cosine Gram matrix of
-    a corpus with at least 2 families of at least 2 records each."""
+    """Cosine Gram matrix of a corpus with at least 2 families of at least
+    2 records each."""
     if len(corpus.families) < 2:
         raise ValueError("need at least 2 families")
-    counts = {f: 0 for f in corpus.families}
-    for r in corpus.records:
-        counts[r.family] += 1
-    for f, c in counts.items():
+    counts = np.bincount(corpus.labels, minlength=len(corpus.families))
+    for f, c in zip(corpus.families, counts.tolist()):
         if c < 2:
             raise ValueError(f"family {f!r} has {c} records, need >= 2")
-    vectors = np.stack([r.vector for r in corpus.records])
-    classes = corpus.class_index()
-    labels = np.array([classes[r.family] for r in corpus.records])
-    return vectors, labels, classes, cosine_gram(vectors)
+    return cosine_gram(corpus.vectors)
 
 
 def separation_gap(corpus: Corpus) -> float:
     """Intra- minus inter-family mean cosine: `embedding_quality(corpus).gap`
     without the per-family means and the silhouette."""
-    _, labels, _, sims = _labelled_gram(corpus)
-    intra, inter = _pair_means(sims, labels)
+    intra, inter = _pair_means(_labelled_gram(corpus), corpus.labels)
     return intra - inter
 
 
 def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
     """Intra/inter mean cosine, separation gap and cosine silhouette."""
-    vectors, labels, classes, sims = _labelled_gram(corpus)
+    sims, labels = _labelled_gram(corpus), corpus.labels
     intra, inter = _pair_means(sims, labels)
     per_family = {}
-    for fam, lbl in classes.items():
+    for lbl, fam in enumerate(corpus.families):
         mask = labels == lbl
         fam_intra = sims[np.ix_(mask, mask)]
         off = ~np.eye(mask.sum(), dtype=bool)
@@ -109,7 +102,7 @@ def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
         intra_family=intra,
         inter_family=inter,
         gap=intra - inter,
-        silhouette=cosine_silhouette(vectors, labels, sims=sims),
+        silhouette=cosine_silhouette(corpus.vectors, labels, sims=sims),
         per_family=per_family,
     )
 
@@ -122,8 +115,7 @@ def project_2d(corpus: Corpus):
     """
     if len(corpus.records) < 2:
         raise ValueError("need at least 2 records")
-    x = np.stack([r.vector for r in corpus.records])
-    x = x - x.mean(axis=0)
+    x = corpus.vectors - corpus.vectors.mean(axis=0)
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[0] <= 1e-12:
         raise ValueError("rank-0 data: all vectors identical")
@@ -186,12 +178,10 @@ def _stage(name: str):
 
 def _check_episode_fits(name: str, pool: Corpus, need: int) -> None:
     """Raise unless every family of the pool has `need` records for one episode."""
-    counts = Counter(r.family for r in pool.records)
-    for fam in pool.families:
-        if counts[fam] < need:
-            raise ValueError(
-                f"{name} pool: family {fam!r} has {counts[fam]} records, episode needs {need}"
-            )
+    counts = np.bincount(pool.labels, minlength=len(pool.families))
+    for fam, count in zip(pool.families, counts.tolist()):
+        if count < need:
+            raise ValueError(f"{name} pool: family {fam!r} has {count} records, episode needs {need}")
 
 
 def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSettings,
@@ -297,18 +287,9 @@ def ablation_to_csv(path, report: AblationReport) -> None:
 
 
 def benchmark_data(seed: int):
-    """The bundled desk-scale benchmark: 10 families, overlap 0.7."""
-    spec = SyntheticSpec(
-        n_families=10,
-        records_per_family=200,
-        embedding_dim=64,
-        attribute_dim=32,
-        cluster_spread=0.4,
-        inter_cluster_overlap=0.7,
-        attribute_spread=5.0,
-        seed=seed,
-    )
-    return generate_synthetic(spec)
+    """The bundled desk-scale benchmark: the default `SyntheticSpec`, 10
+    families of 200 records at overlap 0.7."""
+    return generate_synthetic(SyntheticSpec(seed=seed))
 
 
 def benchmark_settings() -> AblationSettings:

@@ -76,17 +76,16 @@ def _family_rng(seed: int, family: str, salt: str = "") -> np.random.Generator:
 def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     """Pick the single ground-truth record for a family: the medoid, the
     record with the highest mean cosine similarity to its family."""
-    fam_recs = [r for r in corpus.records if r.family == family]
-    if not fam_recs:
+    rows = np.flatnonzero(corpus.labels == corpus.class_index().get(family, -1)).tolist()
+    if not rows:
         raise ValueError(f"unknown family {family!r}")
-    if len(fam_recs) == 1:
-        return PositiveSelection(family, fam_recs[0])
-    vecs = np.stack([r.vector for r in fam_recs])
-    sims = cosine_gram(vecs)
-    means = (sims.sum(axis=1) - 1.0) / (len(fam_recs) - 1)
+    if len(rows) == 1:
+        return PositiveSelection(family, corpus.records[rows[0]])
+    sims = cosine_gram(corpus.vectors[rows])
+    means = (sims.sum(axis=1) - 1.0) / (len(rows) - 1)
     # deterministic tie-break on id
-    best = max(range(len(fam_recs)), key=lambda i: (means[i], fam_recs[i].id))
-    return PositiveSelection(family, fam_recs[best])
+    best = max(range(len(rows)), key=lambda i: (means[i], corpus.records[rows[i]].id))
+    return PositiveSelection(family, corpus.records[rows[best]])
 
 
 def select_positives(corpus: Corpus) -> dict:
@@ -95,16 +94,16 @@ def select_positives(corpus: Corpus) -> dict:
 
 def _foreign_similarities(corpus: Corpus, positive: PositiveSelection):
     """(record, similarity) for every record outside the positive's family."""
-    foreign = [r for r in corpus.records if r.family != positive.family]
+    own = corpus.class_index().get(positive.family, -1)
+    foreign = np.flatnonzero(corpus.labels != own).tolist()
     if not foreign:
         return []
-    vecs = np.stack([r.vector for r in foreign])
-    normed = normalize_rows(vecs)[0]
+    normed = normalize_rows(corpus.vectors[foreign])[0]
     e = positive.embedding
     n = np.linalg.norm(e)
     en = e / n if n > 0 else e
     sims = normed @ en
-    return list(zip(foreign, sims.tolist()))
+    return [(corpus.records[i], s) for i, s in zip(foreign, sims.tolist())]
 
 
 def mine_negatives(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig) -> NegativeSet:

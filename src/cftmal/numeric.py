@@ -195,7 +195,11 @@ def param_views(layers, flat):
 
 def bind_params(layers) -> np.ndarray:
     """A new flat vector holding the layers' parameters, which become views into it."""
-    flat = np.concatenate([a.ravel() for a in chain_params(layers)])
+    return rebind_params(layers, np.concatenate([a.ravel() for a in chain_params(layers)]))
+
+
+def rebind_params(layers, flat) -> np.ndarray:
+    """Make the layers' weights and biases views into `flat`, uncopied; returns `flat`."""
     views = param_views(layers, flat)
     for layer, w, b in zip(layers, views[::2], views[1::2]):
         layer.weights, layer.bias = w, b

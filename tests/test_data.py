@@ -14,6 +14,8 @@ from cftmal.data import (
     write_attributes,
     write_embeddings,
 )
+from cftmal.meta import MamlConfig
+from cftmal.metrics import AblationSettings, run_pipeline
 
 
 def small_corpus(rng, n=6, d=4):
@@ -31,7 +33,33 @@ def test_corpus_indexes():
     assert corpus.families == ["fam0", "fam1"]
     assert corpus.class_index() == {"fam0": 0, "fam1": 1}
     assert len(corpus.by_family()["fam0"]) == 3
-    assert corpus.by_id()["r3"].family == "fam1"
+    assert corpus.records[corpus.rows["r3"]].family == "fam1"
+
+
+def test_corpus_row_layout(tmp_path):
+    rng = np.random.default_rng(7)
+    corpus = small_corpus(rng, n=7, d=3)
+    assert corpus.vectors.shape == (7, 3) and corpus.vectors.dtype == np.float64
+    for i, r in enumerate(corpus.records):
+        np.testing.assert_array_equal(corpus.vectors[i], r.vector)
+    assert corpus.rows == {f"r{i}": i for i in range(7)}
+    assert corpus.labels.tolist() == [i % 2 for i in range(7)]
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.vectors[0, 0] = 1.0
+    path = tmp_path / "c.emb1"
+    write_embeddings(path, corpus)
+    back = load_embeddings(path)
+    assert back.rows == corpus.rows
+    np.testing.assert_array_equal(back.labels, corpus.labels)
+    np.testing.assert_array_equal(back.vectors, corpus.vectors)
+    assert Corpus([], 3).vectors.shape == (0, 3)
+
+
+def test_corpus_rejects_family_outside_given_families():
+    rng = np.random.default_rng(0)
+    records = small_corpus(rng).records
+    with pytest.raises(FormatError, match="record 'r1': family 'fam1' is not a corpus family"):
+        Corpus(records, 4, families=["fam0"])
 
 
 def test_corpus_dim_mismatch():
@@ -198,11 +226,17 @@ def test_split_meta_stratified_and_disjoint():
     assert {a.id for a in ea} == test_ids
 
 
-def test_split_meta_rejects_small_families():
-    spec = SyntheticSpec(n_families=2, records_per_family=10, embedding_dim=8, seed=1)
+def test_split_fits_an_episode_smaller_than_the_default():
+    # 20 records a family leave 5 for the meta-test pool: enough for 2 + 3
+    spec = SyntheticSpec(n_families=3, records_per_family=20, embedding_dim=8,
+                         attribute_dim=4, seed=1)
     corpus, attrs = generate_synthetic(spec)
-    with pytest.raises(ValueError, match="needs >="):
-        split_meta(corpus, attrs, 0.5, seed=0)
+    settings = AblationSettings(
+        maml=MamlConfig(n_support=2, n_query=3, meta_iterations=1, tasks_per_meta_batch=1),
+        eval_episodes=1,
+    )
+    out = run_pipeline("attributes_only", corpus, attrs, settings, seed=0)
+    assert 0.0 <= out["accuracy"] <= 1.0
 
 
 def test_split_meta_fraction_validated():

@@ -81,13 +81,9 @@ def test_fusion_hvp_matches_fd_of_gradient(kind):
     vec = rng.standard_normal(params.size)
     hv = model.hvp(attrs, embs, labels, vec)
     h = 1e-6
-    up_params = params + h * vec
-    down_params = params - h * vec
-    model.set_params(up_params)
-    _, gu = model.loss_and_grads(attrs, embs, labels)
-    model.set_params(down_params)
-    _, gd = model.loss_and_grads(attrs, embs, labels)
-    model.set_params(params)
+    _, gu = model.bound_to(params + h * vec).loss_and_grads(attrs, embs, labels)
+    _, gd = model.bound_to(params - h * vec).loss_and_grads(attrs, embs, labels)
+    np.testing.assert_array_equal(model.params, params)
     for hvi, u, d in zip(*(param_views(model.layers, v) for v in (hv, gu, gd))):
         fd = (u - d) / (2 * h)
         assert np.abs(hvi - fd).max() < 1e-4 * max(1.0, np.abs(fd).max())
@@ -179,3 +175,19 @@ def test_batch_arrays():
     attrs, embs, labels = batch_arrays(pool)
     assert attrs.shape == (2, 2) and embs.shape == (2, 3)
     assert labels.tolist() == [1, 0] and labels.dtype == np.int64
+
+
+def test_fusion_bound_to_views_the_vector_without_copying():
+    rng = np.random.default_rng(6)
+    model = tiny_fusion(rng)
+    attrs = rng.standard_normal((4, 3))
+    embs = rng.standard_normal((4, 5))
+    flat = model.params + rng.standard_normal(model.params.size)
+    bound = model.bound_to(flat)
+    assert bound.params is flat
+    assert np.shares_memory(bound.attr_branch[0].weights, flat)
+    flat *= 0.5
+    expected = model.clone()
+    expected.params[...] = flat
+    np.testing.assert_array_equal(bound.forward(attrs, embs), expected.forward(attrs, embs))
+    assert not np.shares_memory(model.params, flat)

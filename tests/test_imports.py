@@ -105,3 +105,23 @@ def test_layer_arrays_are_rebound_in_numeric_only():
                             and t.attr in LAYER_ARRAYS):
                         offenders.append(f"{path.stem}:{node.lineno} assigns .{t.attr}")
     assert offenders == []
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_record_vectors_are_stacked_in_data_only():
+    """`Corpus.vectors` holds every record's vector as one matrix, built in
+    `data`; a comprehension over record `.vector`s anywhere else would
+    rebuild that matrix, or part of it, on its own."""
+    offenders = set()  # a set: nested comprehensions walk the same node twice
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "data":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, COMPREHENSIONS):
+                offenders |= {f"{path.stem}:{t.lineno} reads .vector in a comprehension"
+                              for t in ast.walk(node)
+                              if isinstance(t, ast.Attribute) and t.attr == "vector"}
+    assert sorted(offenders) == []

@@ -67,14 +67,6 @@ def test_sample_episode_structure_and_determinism():
     assert [s.id for s in ep3.support] != [s.id for s in ep1.support]
 
 
-def test_sample_episode_n_way_subset():
-    pool, _, _ = make_pool()
-    cfg = MamlConfig(n_way=2, n_support=5, n_query=5)
-    ep = sample_episode(pool, cfg, seed=0)
-    assert len(ep.families) == 2
-    assert len(ep.support) == 10
-
-
 def test_sample_episode_insufficient_members():
     pool, _, _ = make_pool(per_family=30)
     cfg = MamlConfig(n_support=20, n_query=20)

@@ -106,7 +106,7 @@ def test_mine_negatives_threshold_excludes_near_duplicates():
                        negatives_hard_per_sample=1, negatives_diverse_per_sample=1)
     ns = mine_negatives(corpus, positives, "A", cfg)
     mined = {rid for rid, _ in ns.hard} | {rid for rid, _ in ns.diverse}
-    sim = cosine_similarity(corpus.by_id()["clone"].vector, positives["A"].embedding)
+    sim = cosine_similarity(corpus.records[corpus.rows["clone"]].vector, positives["A"].embedding)
     if sim > cfg.threshold:
         assert "clone" not in mined
 
