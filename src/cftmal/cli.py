@@ -337,10 +337,13 @@ def _cmd_ablate(args, cfg):
 
 
 def _cmd_histogram(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
+    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
+    corpus = data.load_embeddings(emb_path)
     family = _get(args, cfg, "family", None)
     if family is None:
         raise ValueError("histogram needs --family")
+    if family not in corpus.families:
+        raise ValueError(f"{emb_path}: no family {family!r} (has {', '.join(corpus.families)})")
     positives = mining.select_positives(corpus)
     edges, counts = mining.similarity_histogram(
         corpus, positives, family, _get(args, cfg, "bins", 40)

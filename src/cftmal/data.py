@@ -1,11 +1,14 @@
 """Corpus ingestion, the EMB1 binary format, the CSV and JSONL helpers every
-text artifact goes through, synthetic corpora and splits."""
+text artifact goes through, the opener every artifact is written with,
+synthetic corpora and splits."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -80,9 +83,39 @@ class Corpus:
         return {f: i for i, f in enumerate(self.families)}
 
 
+@contextlib.contextmanager
+def replace_file(path, mode="wb", **open_kw):
+    """Write `path` as a new file: the body writes to `<path>.part`, opened
+    with `open(part, mode, **open_kw)`; on a clean exit `path` is unlinked and
+    the part renamed onto it. If the body raises, the part is removed and an
+    existing `path` is left untouched, so no reader ever sees a truncated
+    artifact under the real name. A stale part from a killed run is replaced.
+
+    The old file is unlinked before the rename, never truncated or renamed
+    over: on ext4 with `auto_da_alloc` (the default) replacing a file either
+    way most likely starts a flush of the replaced data, and the next
+    overwrite of that name waits for it, 50-130 ms an artifact on an ext4
+    root mounted `discard`. A symlink at `path` is replaced by the new file,
+    not written through. No fsync is made.
+    """
+    part = f"{os.fspath(path)}.part"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(part)
+    try:
+        with open(part, mode, **open_kw) as fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part)
+        raise
+
+
 def write_embeddings(path, corpus: Corpus) -> None:
     """Write a corpus in the EMB1 binary format (float32 payload)."""
-    with open(path, "wb") as fh:
+    with replace_file(path) as fh:
         fh.write(EMB1_MAGIC)
         fh.write(struct.pack("<II", len(corpus.records), corpus.dim))
         fh.write(corpus.vectors.astype("<f4").tobytes())
@@ -165,7 +198,7 @@ def write_attributes(path, records) -> None:
 
 def write_csv(path, header, rows) -> None:
     """A header row, then one CSV row per sequence of cells in `rows`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -173,7 +206,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_jsonl(path, objects) -> None:
     """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path, "w", encoding="utf-8") as fh:
         for obj in objects:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

@@ -6,14 +6,14 @@ import struct
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, replace_file
 from .numeric import ACTIVATIONS, DenseLayer
 
 
 def write_layers(path, magic: bytes, layers) -> None:
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
-    with open(path, "wb") as fh:
+    with replace_file(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(layers)))
         for layer in layers:

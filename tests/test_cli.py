@@ -42,6 +42,20 @@ def test_rerun_is_byte_identical(tmp_path):
         assert sha(out1 / name) == sha(out2 / name)
 
 
+def test_rerun_into_same_out_replaces_artifacts(tmp_path):
+    out = tmp_path / "m"
+    assert run("synth", "--out", str(out), "--families", "3", "--records", "20",
+               "--dim", "8", "--attr-dim", "4", "--seed", "7") == 0
+    seen = []
+    for _ in range(2):
+        assert run("mine", "--embeddings", str(out / "embeddings.emb1"), "--out", str(out),
+                   "--seed", "7", "--n-hard", "6", "--n-diverse", "4",
+                   "--threshold", "1.0") == 0
+        seen.append((sorted(p.name for p in out.iterdir()), sha(out / "negatives.jsonl")))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == ["attributes.csv", "embeddings.emb1", "negatives.jsonl"]
+
+
 def test_shortage_is_reported_with_exit_1(tmp_path, capsys):
     out = tmp_path / "s"
     assert run("synth", "--out", str(out), "--families", "2", "--records", "5",
@@ -158,6 +172,19 @@ def test_histogram_requires_family(tmp_path, capsys):
                "--embeddings", str(out / "embeddings.emb1"))
     assert code == 1
     assert "needs --family" in capsys.readouterr().err
+
+
+def test_histogram_unknown_family_names_file_and_families(tmp_path, capsys):
+    out = tmp_path / "h"
+    assert run("synth", "--out", str(out), "--families", "2", "--records", "10",
+               "--dim", "8", "--attr-dim", "4") == 0
+    capsys.readouterr()
+    emb = out / "embeddings.emb1"
+    code = run("histogram", "--out", str(out), "--embeddings", str(emb), "--family", "nope")
+    assert code == 1
+    assert (f"cftmal histogram: error: {emb}: no family 'nope' (has family00, family01)"
+            in capsys.readouterr().err)
+    assert not (out / "histogram.csv").exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -12,7 +12,9 @@ from cftmal.data import (
     load_embeddings,
     split_meta,
     write_attributes,
+    write_csv,
     write_embeddings,
+    write_jsonl,
 )
 from cftmal.meta import MamlConfig
 from cftmal.metrics import AblationSettings, run_pipeline
@@ -253,3 +255,39 @@ def test_split_meta_rejects_record_without_attributes():
     attrs = [a for a in attrs if a.id != missing]
     with pytest.raises(ValueError, match=f"record {missing!r} has no attribute row"):
         split_meta(corpus, attrs, 0.25, seed=0)
+
+
+def _check_failed_write_keeps(path, write, error):
+    """`write()` raises `error` and leaves `path` and its directory as they were."""
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write()
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_failed_jsonl_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"old": True}])
+    _check_failed_write_keeps(
+        path, lambda: write_jsonl(path, [{"k": 1}, {"k": 2}, {"k": object()}]), TypeError)
+
+
+def test_failed_csv_write_leaves_previous_file(tmp_path):
+    def rows():
+        yield ["a", 1]
+        yield ["b", 2]
+        raise RuntimeError("row source failed")
+
+    path = tmp_path / "out.csv"
+    write_csv(path, ["name", "n"], [["x", 0]])
+    _check_failed_write_keeps(path, lambda: write_csv(path, ["name", "n"], rows()), RuntimeError)
+
+
+def test_rewrite_leaves_listing_unchanged(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"k": 1}])
+    (tmp_path / "out.jsonl.part").write_bytes(b"left by a killed run")
+    write_jsonl(path, [{"k": 2}])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+    assert path.read_text(encoding="utf-8") == '{"k": 2}\n'

@@ -125,3 +125,36 @@ def test_record_vectors_are_stacked_in_data_only():
                               for t in ast.walk(node)
                               if isinstance(t, ast.Attribute) and t.attr == "vector"}
     assert sorted(offenders) == []
+
+
+WRITE_MODE_CHARS = set("wax+")
+
+
+def _may_write(call: ast.Call) -> bool:
+    """An `open(...)` whose mode is a literal with w, a, x or +, or is not a
+    literal at all."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not WRITE_MODE_CHARS & set(mode.value))
+
+
+def test_files_are_written_through_replace_file_only():
+    """Every artifact is written by `data.replace_file`, as a new file renamed
+    into place, so no writer truncates an artifact in place: a failed write
+    would leave a cut-off file under the real name, and on ext4 each in-place
+    rewrite stalls on the flush of the data it replaces."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "data"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "replace_file"
+                   for n in ast.walk(fn)}
+        offenders += [f"{path.stem}:{node.lineno} opens a file for writing"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "open" and id(node) not in allowed
+                      and _may_write(node)]
+    assert offenders == []

@@ -45,3 +45,16 @@ def test_model_load_names_file_on_wrong_layer_count(tmp_path):
         FusionModel.load(path)
     teacher.save(path)
     assert TeacherModel.load(path).n_classes == 3
+
+
+def test_failed_write_leaves_previous_checkpoint(tmp_path):
+    layers = [DenseLayer(np.ones((3, 2)), np.zeros(3), "relu"),
+              DenseLayer(np.ones((2, 3)), np.zeros(2), "identity")]
+    path = tmp_path / "m.adp1"
+    write_layers(path, b"ADP1", layers)
+    before = path.read_bytes()
+    layers[1].activation = "not-an-activation"  # fails after layer 0 is written
+    with pytest.raises(ValueError):
+        write_layers(path, b"ADP1", layers)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.adp1"]
