@@ -80,6 +80,8 @@ class CftConfig:
             raise ValueError("temperature must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.denominator_mode not in ("in_sample", "in_batch"):
             raise ValueError(f"unknown denominator mode {self.denominator_mode!r}")
 

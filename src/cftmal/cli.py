@@ -6,9 +6,15 @@ project. Every stage reads persisted artifacts, writes its outputs under
 --out and prints a one-line summary, so stages are individually
 re-runnable and re-runs with identical inputs are byte-identical.
 
-Options come from an INI config file (--config) overridden by flags; flags
-win. One global seed drives everything: each stage adds a fixed offset
-(STAGE_SEED_OFFSETS) so changing one stage's draw never perturbs another.
+STAGES holds one `Stage` per subcommand; the parser, the stage seeds, the
+input and output paths and the dispatch in `main` are derived from it. To
+add a command, write `_cmd_<name>(values, *configs, *output_paths)`, which
+returns the summary text, and add its entry. Each value takes its flag,
+else its INI value (--config), else its default. Defaults live in the
+entry's `inputs` and `options` and on the config dataclasses. One global
+seed drives everything: each stage adds its entry's `seed` offset, so
+changing one stage's draw never perturbs another. `main` creates --out,
+prints the summary and is the one place that maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -25,35 +31,19 @@ from .distill import KdConfig
 from .fusion import FusionModel, TeacherModel, init_fusion, teacher_train
 from .meta import MamlConfig, build_pool, eval_report_to_csv, evaluate_few_shot, maml_train
 
-STAGE_SEED_OFFSETS = {
-    "synth": 0,
-    "ingest": 0,
-    "mine": 1,
-    "samples": 1,  # shares the mining stream so tiers and draws stay paired
-    "train-cft": 2,
-    "refine": 2,
-    "teacher": 3,
-    "maml": 4,
-    "eval": 5,
-    "ablate": 0,
-    "histogram": 1,
-    "project": 0,
-}
 
-
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
-def _summary(stage: str, text: str) -> None:
-    tag = f"\x1b[32m{stage}\x1b[0m" if _use_color() else stage
-    print(f"{tag}: {text}")
+class ConfigError(ValueError):
+    """A config file that cannot be read, or a value in it that does not
+    parse as its option's type."""
 
 
 def _load_config(path) -> dict:
     """Flat key/value view of an INI file; a bare key=value file works too."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
@@ -66,13 +56,19 @@ def _load_config(path) -> dict:
     return merged
 
 
-class ConfigError(ValueError):
-    """A config file value does not parse as its option's type."""
-
-
 def _int_list(text: str) -> list:
     """Comma-separated ints, e.g. "1,5,10"."""
     return [int(s) for s in text.split(",")]
+
+
+def _parse_as(default):
+    """How a flag or INI value parses for an option with this default, and
+    the name of that type."""
+    for kind, parse, what in ((int, int, "int"), (float, float, "float"),
+                              (list, _int_list, "comma-separated list of ints")):
+        if isinstance(default, kind):
+            return parse, what
+    return str, "string"
 
 
 def _get(args, cfg, dest, default):
@@ -80,120 +76,30 @@ def _get(args, cfg, dest, default):
     v = getattr(args, dest, None)
     if v is not None:
         return v
-    if dest in cfg:
-        raw = cfg[dest]
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        for kind, parse, what in ((int, int, "int"), (float, float, "float"),
-                                  (list, _int_list, "comma-separated list of ints")):
-            if isinstance(default, kind):
-                try:
-                    return parse(raw)
-                except ValueError:
-                    raise ConfigError(f"{dest} = {raw!r} is not a valid {what}") from None
-        return raw
-    return default
-
-
-# Flags whose name differs from the config dataclass field they set.
-FLAG_NAMES = {
-    "n_families": "families",
-    "records_per_family": "records",
-    "embedding_dim": "dim",
-    "attribute_dim": "attr_dim",
-    "inter_cluster_overlap": "overlap",
-    "temperature": "tau",
-    "learning_rate": "lr",
-    "denominator_mode": "denominator",
-    "negatives_hard_per_sample": "hard_per_sample",
-    "negatives_diverse_per_sample": "diverse_per_sample",
-}
+    if dest not in cfg:
+        return default
+    parse, what = _parse_as(default)
+    try:
+        return parse(cfg[dest])
+    except ValueError:
+        raise ConfigError(f"{dest} = {cfg[dest]!r} is not a valid {what}") from None
 
 
 def _config(args, cfg, cls, seed=None):
     """A stage config dataclass: every field takes its flag, else its config
-    value, else its default; `seed` sets the seed."""
-    values = {
-        f.name: _get(args, cfg, FLAG_NAMES.get(f.name, f.name), f.default)
-        for f in dataclasses.fields(cls)
-        if f.name != "seed"
-    }
-    if seed is not None:
-        values["seed"] = seed
+    value, else its default; `seed` sets the seed field, if it has one."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name != "seed":
+            values[f.name] = _get(args, cfg, _KEYS.get(f.name, f.name), f.default)
+        elif seed is not None:
+            values["seed"] = seed
     return cls(**values)
 
 
-def _stage_seed(args, cfg, stage: str) -> int:
-    return _get(args, cfg, "seed", 0) + STAGE_SEED_OFFSETS[stage]
-
-
-def _outpath(args, cfg, name: str) -> str:
-    out = _get(args, cfg, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
-
-
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-# --- stage implementations --------------------------------------------------
-
-
-def _cmd_synth(args, cfg):
-    spec = _config(args, cfg, data.SyntheticSpec, _stage_seed(args, cfg, "synth"))
-    corpus, attrs = data.generate_synthetic(spec)
-    emb_path = _outpath(args, cfg, "embeddings.emb1")
-    attr_path = _outpath(args, cfg, "attributes.csv")
-    data.write_embeddings(emb_path, corpus)
-    data.write_attributes(attr_path, attrs)
-    _summary("synth", f"{len(corpus)} records, {len(corpus.families)} families "
-                      f"-> {emb_path} (sha256 {_sha256(emb_path)[:16]}), {attr_path}")
-
-
-def _cmd_ingest(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    emb_path = _outpath(args, cfg, "embeddings.emb1")
-    data.write_embeddings(emb_path, corpus)
-    parts = [f"{len(corpus)} records, {len(corpus.families)} families, dim {corpus.dim} "
-             f"-> {emb_path} (sha256 {_sha256(emb_path)[:16]})"]
-    attrs_in = _get(args, cfg, "attributes", None)
-    if attrs_in:
-        attrs = data.load_attributes(attrs_in)
-        attr_path = _outpath(args, cfg, "attributes.csv")
-        data.write_attributes(attr_path, attrs)
-        parts.append(f"{len(attrs)} attribute rows -> {attr_path}")
-    _summary("ingest", "; ".join(parts))
-
-
-def _cmd_mine(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "mine"))
-    strategy = _get(args, cfg, "strategy", "similarity")
-    sets = mining.mine_all(corpus, mining.select_positives(corpus), mcfg, strategy)
-    path = _outpath(args, cfg, "negatives.jsonl")
-    mining.negative_sets_to_jsonl(path, sets)
-    _summary("mine", f"{len(sets)} families ({strategy}, threshold {mcfg.threshold}) -> {path}")
-
-
-def _cmd_samples(args, cfg):
-    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
-    negatives_path = _get(args, cfg, "negatives", "negatives.jsonl")
-    corpus = data.load_embeddings(emb_path)
-    sets = mining.negative_sets_from_jsonl(negatives_path)
-    for ns in sets:
-        for rid, _ in ns.hard + ns.diverse:
-            if rid not in corpus.rows:
-                raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
-    mcfg = _config(args, cfg, mining.MiningConfig, _stage_seed(args, cfg, "samples"))
-    samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
-    path = _outpath(args, cfg, "samples.jsonl")
-    mining.samples_to_jsonl(path, samples)
-    _summary("samples", f"{len(samples)} contrastive samples "
-                        f"({mcfg.samples_per_anchor} per anchor) -> {path}")
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _mismatch(path, other, detail) -> ValueError:
@@ -201,61 +107,92 @@ def _mismatch(path, other, detail) -> ValueError:
     return ValueError(f"{path} does not fit {other}: {detail}")
 
 
-def _cmd_train_cft(args, cfg):
-    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
-    samples_path = _get(args, cfg, "samples", "samples.jsonl")
+# --- stage implementations --------------------------------------------------
+
+
+def _cmd_synth(v, spec, emb_path, attr_path):
+    corpus, attrs = data.generate_synthetic(spec)
+    data.write_embeddings(emb_path, corpus)
+    data.write_attributes(attr_path, attrs)
+    return (f"{len(corpus)} records, {len(corpus.families)} families "
+            f"-> {emb_path} (sha256 {_sha256(emb_path)[:16]}), {attr_path}")
+
+
+def _cmd_ingest(v, emb_path, attr_path):
+    corpus = data.load_embeddings(v["embeddings"])
+    data.write_embeddings(emb_path, corpus)
+    parts = [f"{len(corpus)} records, {len(corpus.families)} families, dim {corpus.dim} "
+             f"-> {emb_path} (sha256 {_sha256(emb_path)[:16]})"]
+    if v["attributes"]:
+        attrs = data.load_attributes(v["attributes"])
+        data.write_attributes(attr_path, attrs)
+        parts.append(f"{len(attrs)} attribute rows -> {attr_path}")
+    return "; ".join(parts)
+
+
+def _cmd_mine(v, mcfg, path):
+    corpus = data.load_embeddings(v["embeddings"])
+    sets = mining.mine_all(corpus, mining.select_positives(corpus), mcfg, v["strategy"])
+    mining.negative_sets_to_jsonl(path, sets)
+    return f"{len(sets)} families ({v['strategy']}, threshold {mcfg.threshold}) -> {path}"
+
+
+def _cmd_samples(v, mcfg, path):
+    emb_path, negatives_path = v["embeddings"], v["negatives"]
+    corpus = data.load_embeddings(emb_path)
+    sets = mining.negative_sets_from_jsonl(negatives_path)
+    for ns in sets:
+        for rid, _ in ns.hard + ns.diverse:
+            if rid not in corpus.rows:
+                raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
+    samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
+    mining.samples_to_jsonl(path, samples)
+    return f"{len(samples)} contrastive samples ({mcfg.samples_per_anchor} per anchor) -> {path}"
+
+
+def _cmd_train_cft(v, ccfg, adapter_path, trace_path):
+    emb_path, samples_path = v["embeddings"], v["samples"]
     corpus = data.load_embeddings(emb_path)
     samples = mining.samples_from_jsonl(samples_path)
     for i, s in enumerate(samples, start=1):
         missing = [rid for rid in (s.anchor, s.positive, *s.negatives) if rid not in corpus.rows]
         if missing:
             raise _mismatch(samples_path, emb_path, f"sample {i}: no record {missing[0]!r}")
-    ccfg = _config(args, cfg, cft.CftConfig, _stage_seed(args, cfg, "train-cft"))
     head, trace = cft.train_adapter(samples, corpus, ccfg)
-    adapter_path = _outpath(args, cfg, "adapter.adp1")
-    trace_path = _outpath(args, cfg, "cft_loss.csv")
     head.save(adapter_path)
     cft.loss_trace_to_csv(trace_path, trace)
-    _summary("train-cft", f"{len(samples)} samples, {len(trace)} batches, "
-                          f"final loss {trace[-1][1]:.4f} -> {adapter_path}, {trace_path}")
+    return (f"{len(samples)} samples, {len(trace)} batches, "
+            f"final loss {trace[-1][1]:.4f} -> {adapter_path}, {trace_path}")
 
 
-def _cmd_refine(args, cfg):
-    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
-    adapter_path = _get(args, cfg, "adapter", "adapter.adp1")
+def _cmd_refine(v, path):
+    emb_path, adapter_path = v["embeddings"], v["adapter"]
     corpus = data.load_embeddings(emb_path)
     head = cft.AdapterHead.load(adapter_path)
     if head.in_dim != corpus.dim:
         raise _mismatch(adapter_path, emb_path,
                         f"input width {head.in_dim} in the adapter, {corpus.dim} in the embeddings")
     refined = cft.refine(head, corpus)
-    path = _outpath(args, cfg, "refined.emb1")
     data.write_embeddings(path, refined)
-    _summary("refine", f"{len(refined)} records, dim {corpus.dim} -> {refined.dim} "
-                       f"-> {path} (sha256 {_sha256(path)[:16]})")
+    return (f"{len(refined)} records, dim {corpus.dim} -> {refined.dim} "
+            f"-> {path} (sha256 {_sha256(path)[:16]})")
 
 
-def _cmd_teacher(args, cfg):
-    attrs = data.load_attributes(_get(args, cfg, "attributes", "attributes.csv"))
+def _cmd_teacher(v, path):
+    attrs = data.load_attributes(v["attributes"])
     families = sorted({a.family for a in attrs})
-    teacher, trace = teacher_train(
-        attrs, families,
-        lr=_get(args, cfg, "teacher_lr", 1e-3),
-        epochs=_get(args, cfg, "teacher_epochs", 40),
-        seed=_stage_seed(args, cfg, "teacher"),
-    )
-    path = _outpath(args, cfg, "teacher.tch1")
+    teacher, trace = teacher_train(attrs, families, lr=v["teacher_lr"],
+                                   epochs=v["teacher_epochs"], seed=v["seed"])
     teacher.save(path)
-    _summary("teacher", f"{len(attrs)} rows, {len(families)} classes, "
-                        f"final train accuracy {trace[-1]:.3f} -> {path}")
+    return (f"{len(attrs)} rows, {len(families)} classes, "
+            f"final train accuracy {trace[-1]:.3f} -> {path}")
 
 
-def _meta_inputs(args, cfg):
-    """The embeddings, attribute pool, optional teacher and KD config of
-    maml and eval, and `fit(model, path)`, which checks that a loaded
-    student or teacher fits the embeddings and attributes."""
-    emb_path = _get(args, cfg, "embeddings", "refined.emb1")
-    attr_path = _get(args, cfg, "attributes", "attributes.csv")
+def _meta_inputs(v):
+    """The embeddings, attribute pool and optional teacher of maml and eval,
+    and `fit(model, path)`, which checks that a loaded student or teacher
+    fits the embeddings and attributes."""
+    emb_path, attr_path = v["embeddings"], v["attributes"]
     corpus = data.load_embeddings(emb_path)
     attrs = data.load_attributes(attr_path)
     try:
@@ -273,109 +210,191 @@ def _meta_inputs(args, cfg):
                 raise _mismatch(path, other, f"{what} {have} in the model, {want} in the input")
         return model
 
-    teacher_path = _get(args, cfg, "teacher", None)
+    teacher_path = v["teacher"]
     teacher = fit(TeacherModel.load(teacher_path), teacher_path) if teacher_path else None
-    kd = _config(args, cfg, KdConfig) if teacher is not None else None
-    return corpus, pool, teacher, kd, fit
+    return corpus, pool, teacher, fit
 
 
-def _cmd_maml(args, cfg):
-    corpus, pool, teacher, kd, _ = _meta_inputs(args, cfg)
-    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "maml"))
+def _cmd_maml(v, mamlcfg, kd, path, hist_path):
+    corpus, pool, teacher, _ = _meta_inputs(v)
+    kd = kd if teacher else None
     attr_dim = pool[0].attributes.shape[0]
     student = init_fusion(attr_dim, corpus.dim, len(corpus.families), mamlcfg.seed)
     student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
-    path = _outpath(args, cfg, "student.fus1")
-    hist_path = _outpath(args, cfg, "maml_history.csv")
     student.save(path)
     data.write_csv(hist_path, ["iteration", "query_loss", "query_accuracy"],
                    ([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])]
                     for h in history))
-    _summary("maml", f"{mamlcfg.meta_iterations} meta-iterations "
-                     f"(order {mamlcfg.order}, kd {'on' if kd else 'off'}), "
-                     f"final query accuracy {history[-1]['query_accuracy']:.3f} "
-                     f"-> {path}, {hist_path}")
+    return (f"{mamlcfg.meta_iterations} meta-iterations "
+            f"(order {mamlcfg.order}, kd {'on' if kd else 'off'}), "
+            f"final query accuracy {history[-1]['query_accuracy']:.3f} -> {path}, {hist_path}")
 
 
-def _cmd_eval(args, cfg):
-    sizes = _get(args, cfg, "support_sizes", [10])
-    corpus, pool, teacher, kd, fit = _meta_inputs(args, cfg)
-    student_path = _get(args, cfg, "student", "student.fus1")
-    student = fit(FusionModel.load(student_path), student_path)
-    mamlcfg = _config(args, cfg, MamlConfig, _stage_seed(args, cfg, "eval"))
-    rows = evaluate_few_shot(
-        student, pool, mamlcfg, _get(args, cfg, "episodes", 20),
-        support_sizes=sizes, teacher=teacher, kd_cfg=kd,
-    )
-    path = _outpath(args, cfg, "eval.csv")
+def _cmd_eval(v, mamlcfg, kd, path):
+    corpus, pool, teacher, fit = _meta_inputs(v)
+    kd = kd if teacher else None
+    student = fit(FusionModel.load(v["student"]), v["student"])
+    rows = evaluate_few_shot(student, pool, mamlcfg, v["episodes"],
+                             support_sizes=v["support_sizes"], teacher=teacher, kd_cfg=kd)
     eval_report_to_csv(path, rows)
     best = max(rows, key=lambda r: r["mean_accuracy"])
-    _summary("eval", f"{len(rows)} support sizes x {rows[0]['n_episodes']} episodes, "
-                     f"best {best['mean_accuracy']:.3f} at {best['support_size']}-shot -> {path}")
+    return (f"{len(rows)} support sizes x {rows[0]['n_episodes']} episodes, "
+            f"best {best['mean_accuracy']:.3f} at {best['support_size']}-shot -> {path}")
 
 
-def _cmd_ablate(args, cfg):
-    seed0 = _get(args, cfg, "seed", 0)
-    n_seeds = _get(args, cfg, "seeds", 5)
+def _cmd_ablate(v, path):
     settings = metrics.benchmark_settings()
-    settings.maml.meta_iterations = _get(args, cfg, "meta_iterations", settings.maml.meta_iterations)
-    settings.cft.epochs = _get(args, cfg, "epochs", settings.cft.epochs)
-    settings.eval_episodes = _get(args, cfg, "episodes", settings.eval_episodes)
-    settings.teacher_epochs = _get(args, cfg, "teacher_epochs", settings.teacher_epochs)
-    families = _get(args, cfg, "families", data.SyntheticSpec.n_families)
-    records = _get(args, cfg, "records", data.SyntheticSpec.records_per_family)
+    settings.maml.meta_iterations = v["meta_iterations"]
+    settings.cft.epochs = v["epochs"]
+    settings.eval_episodes = v["episodes"]
+    settings.teacher_epochs = v["teacher_epochs"]
 
     def bench(seed):
-        spec = data.SyntheticSpec(n_families=families, records_per_family=records, seed=seed)
+        spec = data.SyntheticSpec(n_families=v["families"], records_per_family=v["records"],
+                                  seed=seed)
         return data.generate_synthetic(spec)
 
-    report = metrics.run_ablation(bench, settings, seeds=range(seed0, seed0 + n_seeds))
-    path = _outpath(args, cfg, "ablation.csv")
+    report = metrics.run_ablation(bench, settings, seeds=range(v["seed"], v["seed"] + v["seeds"]))
     metrics.ablation_to_csv(path, report)
     means = ", ".join(f"{r['method']}={r['mean_accuracy']:.3f}" for r in report.rows)
-    _summary("ablate", f"{n_seeds} seeds: {means} -> {path}")
+    return f"{v['seeds']} seeds: {means} -> {path}"
 
 
-def _cmd_histogram(args, cfg):
-    emb_path = _get(args, cfg, "embeddings", "embeddings.emb1")
+def _cmd_histogram(v, path):
+    emb_path, family = v["embeddings"], v["family"]
     corpus = data.load_embeddings(emb_path)
-    family = _get(args, cfg, "family", None)
     if family is None:
         raise ValueError("histogram needs --family")
     if family not in corpus.families:
         raise ValueError(f"{emb_path}: no family {family!r} (has {', '.join(corpus.families)})")
     positives = mining.select_positives(corpus)
-    edges, counts = mining.similarity_histogram(
-        corpus, positives, family, _get(args, cfg, "bins", 40)
-    )
-    path = _outpath(args, cfg, "histogram.csv")
+    edges, counts = mining.similarity_histogram(corpus, positives, family, v["bins"])
     mining.histogram_to_csv(path, edges, counts)
-    _summary("histogram", f"family {family}, {int(counts.sum())} foreign records, "
-                          f"{len(counts)} bins -> {path}")
+    return f"family {family}, {int(counts.sum())} foreign records, {len(counts)} bins -> {path}"
 
 
-def _cmd_project(args, cfg):
-    corpus = data.load_embeddings(_get(args, cfg, "embeddings", "embeddings.emb1"))
-    rows = metrics.project_2d(corpus)
-    path = _outpath(args, cfg, "projection.csv")
+def _cmd_project(v, path):
+    rows = metrics.project_2d(data.load_embeddings(v["embeddings"]))
     metrics.projection_to_csv(path, rows)
-    _summary("project", f"{len(rows)} records -> {path}")
+    return f"{len(rows)} records -> {path}"
 
 
-COMMANDS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "mine": _cmd_mine,
-    "samples": _cmd_samples,
-    "train-cft": _cmd_train_cft,
-    "refine": _cmd_refine,
-    "teacher": _cmd_teacher,
-    "maml": _cmd_maml,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "histogram": _cmd_histogram,
-    "project": _cmd_project,
+# --- the command table ------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One subcommand."""
+
+    run: object  # run(values, *configs, *output_paths) -> summary text
+    seed: int  # offset added to the global seed
+    # Own flags in --help order, each naming an input, an option or a config
+    # field; (flag, field) names a field's flag, and so its INI key everywhere.
+    flags: tuple = ()
+    inputs: dict = dataclasses.field(default_factory=dict)  # dest -> path; None: optional
+    options: dict = dataclasses.field(default_factory=dict)  # dest -> typed default
+    configs: tuple = ()  # dataclasses; unflagged fields still read their INI key
+    outputs: tuple = ()  # file names under --out
+
+
+_BENCH = metrics.benchmark_settings()  # ablate's defaults
+
+STAGES = {
+    "synth": Stage(
+        _cmd_synth, seed=0,
+        flags=(("families", "n_families"), ("records", "records_per_family"),
+               ("dim", "embedding_dim"), ("attr-dim", "attribute_dim"), "cluster-spread",
+               ("overlap", "inter_cluster_overlap"), "attribute-spread"),
+        configs=(data.SyntheticSpec,),
+        outputs=("embeddings.emb1", "attributes.csv")),
+    "ingest": Stage(
+        _cmd_ingest, seed=0,
+        flags=("embeddings", "attributes"),
+        inputs={"embeddings": "embeddings.emb1", "attributes": None},
+        outputs=("embeddings.emb1", "attributes.csv")),
+    "mine": Stage(
+        _cmd_mine, seed=1,
+        flags=("embeddings", "threshold", "strategy", "n-hard", "n-diverse"),
+        inputs={"embeddings": "embeddings.emb1"},
+        options={"strategy": "similarity"},
+        configs=(mining.MiningConfig,),
+        outputs=("negatives.jsonl",)),
+    "samples": Stage(  # shares the mining seed so tiers and draws stay paired
+        _cmd_samples, seed=1,
+        flags=("embeddings", "negatives", ("hard-per-sample", "negatives_hard_per_sample"),
+               ("diverse-per-sample", "negatives_diverse_per_sample"), "samples-per-anchor"),
+        inputs={"embeddings": "embeddings.emb1", "negatives": "negatives.jsonl"},
+        configs=(mining.MiningConfig,),
+        outputs=("samples.jsonl",)),
+    "train-cft": Stage(
+        _cmd_train_cft, seed=2,
+        flags=("embeddings", "samples", ("tau", "temperature"), ("lr", "learning_rate"),
+               "epochs", "batch-size", "weight-decay", "hidden-dim", "output-dim",
+               ("denominator", "denominator_mode")),
+        inputs={"embeddings": "embeddings.emb1", "samples": "samples.jsonl"},
+        configs=(cft.CftConfig,),
+        outputs=("adapter.adp1", "cft_loss.csv")),
+    "refine": Stage(
+        _cmd_refine, seed=2,
+        flags=("embeddings", "adapter"),
+        inputs={"embeddings": "embeddings.emb1", "adapter": "adapter.adp1"},
+        outputs=("refined.emb1",)),
+    "teacher": Stage(
+        _cmd_teacher, seed=3,
+        flags=("attributes", "teacher-lr", "teacher-epochs"),
+        inputs={"attributes": "attributes.csv"},
+        options={"teacher_lr": 1e-3, "teacher_epochs": 40},
+        outputs=("teacher.tch1",)),
+    "maml": Stage(
+        _cmd_maml, seed=4,
+        flags=("embeddings", "attributes", "teacher", "alpha", "order", "kd-temperature",
+               "apply-in", "inner-steps", "inner-lr", "meta-lr", "meta-iterations",
+               "tasks-per-meta-batch", "n-support", "n-query"),
+        inputs={"embeddings": "refined.emb1", "attributes": "attributes.csv", "teacher": None},
+        configs=(MamlConfig, KdConfig),
+        outputs=("student.fus1", "maml_history.csv")),
+    "eval": Stage(
+        _cmd_eval, seed=5,
+        flags=("embeddings", "attributes", "student", "teacher", "episodes", "alpha",
+               "support-sizes", "inner-steps", "inner-lr", "kd-temperature", "apply-in"),
+        inputs={"embeddings": "refined.emb1", "attributes": "attributes.csv",
+                "student": "student.fus1", "teacher": None},
+        options={"episodes": 20, "support_sizes": [10]},
+        configs=(MamlConfig, KdConfig),
+        outputs=("eval.csv",)),
+    "ablate": Stage(
+        _cmd_ablate, seed=0,
+        flags=("seeds", "epochs", "episodes", "families", "records", "meta-iterations",
+               "teacher-epochs"),
+        options={"seeds": 5, "epochs": _BENCH.cft.epochs, "episodes": _BENCH.eval_episodes,
+                 "families": data.SyntheticSpec.n_families,
+                 "records": data.SyntheticSpec.records_per_family,
+                 "meta_iterations": _BENCH.maml.meta_iterations,
+                 "teacher_epochs": _BENCH.teacher_epochs},
+        outputs=("ablation.csv",)),
+    "histogram": Stage(
+        _cmd_histogram, seed=1,
+        flags=("embeddings", "family", "bins"),
+        inputs={"embeddings": "embeddings.emb1"},
+        options={"family": None, "bins": 40},
+        outputs=("histogram.csv",)),
+    "project": Stage(
+        _cmd_project, seed=0,
+        flags=("embeddings",),
+        inputs={"embeddings": "embeddings.emb1"},
+        outputs=("projection.csv",)),
 }
+
+
+def _flag_field(flag):
+    """(flag name, dest) of a `flags` entry; dest is the config field of a
+    renamed flag."""
+    return flag if isinstance(flag, tuple) else (flag, flag.replace("-", "_"))
+
+
+# The INI key, and flag dest, of each config field whose flag has another name.
+_KEYS = {field: name.replace("-", "_") for stage in STAGES.values()
+         for name, field in map(_flag_field, stage.flags) if name.replace("-", "_") != field}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,61 +405,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="cftmal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
-        p = sub.add_parser(name, parents=[common])
-        for flag, spec in flags.items():
-            p.add_argument(f"--{flag}", **spec)
-        return p
-
-    f = lambda: {"type": float}
-    i = lambda: {"type": int}
-    s = lambda: {"type": str}
-
-    add("synth", families=i(), records=i(), dim=i(), **{"attr-dim": i(),
-        "cluster-spread": f(), "overlap": f(), "attribute-spread": f()})
-    add("ingest", embeddings=s(), attributes=s())
-    add("mine", embeddings=s(), threshold=f(), strategy=s(),
-        **{"n-hard": i(), "n-diverse": i()})
-    add("samples", embeddings=s(), negatives=s(),
-        **{"hard-per-sample": i(), "diverse-per-sample": i(), "samples-per-anchor": i()})
-    add("train-cft", embeddings=s(), samples=s(), tau=f(), lr=f(), epochs=i(),
-        **{"batch-size": i(), "weight-decay": f(), "hidden-dim": i(),
-           "output-dim": i(), "denominator": s()})
-    add("refine", embeddings=s(), adapter=s())
-    add("teacher", attributes=s(), **{"teacher-lr": f(), "teacher-epochs": i()})
-    add("maml", embeddings=s(), attributes=s(), teacher=s(), alpha=f(), order=s(),
-        **{"kd-temperature": f(), "apply-in": s(), "inner-steps": i(),
-           "inner-lr": f(), "meta-lr": f(), "meta-iterations": i(),
-           "tasks-per-meta-batch": i(), "n-support": i(), "n-query": i()})
-    add("eval", embeddings=s(), attributes=s(), student=s(), teacher=s(),
-        episodes=i(), alpha=f(), **{"support-sizes": {"type": _int_list}, "inner-steps": i(),
-        "inner-lr": f(), "kd-temperature": f(), "apply-in": s()})
-    add("ablate", seeds=i(), epochs=i(), episodes=i(), families=i(), records=i(),
-        **{"meta-iterations": i(), "teacher-epochs": i()})
-    add("histogram", embeddings=s(), family=s(), bins=i())
-    add("project", embeddings=s())
+    for command, stage in STAGES.items():
+        p = sub.add_parser(command, parents=[common])
+        defaults = {**stage.inputs, **stage.options,
+                    **{f.name: f.default for cls in stage.configs for f in dataclasses.fields(cls)}}
+        for name, dest in map(_flag_field, stage.flags):
+            p.add_argument(f"--{name}", type=_parse_as(defaults[dest])[0])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            cfg = _load_config(args.config)
-        except (OSError, configparser.Error) as exc:
-            print(f"cftmal {args.command}: config error: {exc}", file=sys.stderr)
-            return 2
+    args = _build_parser().parse_args(argv)
+    stage = STAGES[args.command]
     try:
-        COMMANDS[args.command](args, cfg)
+        cfg = _load_config(args.config) if args.config else {}
+    except (OSError, configparser.Error, ConfigError) as exc:
+        print(f"cftmal {args.command}: config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        seed = _get(args, cfg, "seed", 0) + stage.seed
+        values = {dest: _get(args, cfg, dest, default)
+                  for dest, default in {**stage.inputs, **stage.options}.items()}
+        values["seed"] = seed
+        configs = tuple(_config(args, cfg, cls, seed) for cls in stage.configs)
+        out = _get(args, cfg, "out", ".")
+        os.makedirs(out, exist_ok=True)
+        text = stage.run(values, *configs, *(os.path.join(out, name) for name in stage.outputs))
     except ConfigError as exc:
         print(f"cftmal {args.command}: config error: {args.config}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, metrics.PipelineStageError) as exc:
         print(f"cftmal {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    print(f"\x1b[32m{args.command}\x1b[0m: {text}" if color else f"{args.command}: {text}")
     return 0
 
 

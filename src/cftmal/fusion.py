@@ -248,6 +248,8 @@ def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40, seed
     """
     if not attributes:
         raise ValueError("no attribute rows to train on")
+    if epochs < 1:
+        raise ValueError("teacher_epochs must be >= 1")
     classes = {f: i for i, f in enumerate(families)}
     for a in attributes:
         if a.family not in classes:

@@ -214,6 +214,8 @@ def maml_train(model, pool, cfg: MamlConfig, teacher=None, kd_cfg=None):
     the inner/outer losses per kd_cfg.apply_in.
     """
     cfg.validate()
+    if cfg.meta_iterations < 1:
+        raise ValueError("meta_iterations must be >= 1")
     if kd_cfg is not None:
         kd_cfg.validate()
         if teacher is not None and teacher.n_classes != model.n_classes:
@@ -248,6 +250,8 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
     seed}, one per support size.
     """
     cfg.validate()
+    if n_episodes < 1:
+        raise ValueError("episodes must be >= 1")
     if support_sizes is None:
         support_sizes = [cfg.n_support]
     rows = []

@@ -259,6 +259,9 @@ def run_ablation(data, settings: AblationSettings, seeds, methods=METHODS) -> Ab
     seed -> (corpus, attributes) regenerating the benchmark per seed. Each
     seed is one pass over all methods; `details` stay method-major.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     per_seed = [_run_seed(methods, *(data(seed) if callable(data) else data), settings, seed)
                 for seed in seeds]
     details = [results[i] for i in range(len(methods)) for results in per_seed]

@@ -80,9 +80,12 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
-    code = run("synth", "--config", str(tmp_path / "missing.ini"))
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    (tmp_path / "utf16.ini").write_bytes(b"\xff\xfe[synth]\n")
+    for cfg in (tmp_path / "missing.ini", tmp_path / "utf16.ini"):
+        code = run("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cftmal synth: config error:" in err and str(cfg) in err
 
 
 def test_mistyped_config_value_exits_2(tmp_path, capsys):
@@ -103,6 +106,29 @@ def test_mistyped_support_sizes_exits_2_before_reading_inputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: {cfg}: support_sizes = '5,x'" in err
+
+
+def test_config_fields_without_a_flag_still_read_the_ini(tmp_path, capsys):
+    assert _build_parser().parse_args(["maml", "--n-query", "5"]).n_query == 5
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--n-query", "5")
+    assert exc.value.code == 2
+    out = tmp_path / "q"
+    common = ["--out", str(out)]
+    assert run("synth", *common, "--families", "3", "--records", "40",
+               "--dim", "8", "--attr-dim", "4") == 0
+    assert run("maml", *common, "--embeddings", str(out / "embeddings.emb1"),
+               "--attributes", str(out / "attributes.csv"), "--meta-iterations", "1",
+               "--inner-steps", "1", "--n-support", "5", "--n-query", "5",
+               "--tasks-per-meta-batch", "1") == 0
+    cfg = tmp_path / "pipeline.ini"
+    cfg.write_text("[eval]\nn_query = 35\n")
+    capsys.readouterr()
+    code = run("eval", *common, "--config", str(cfg), "--embeddings", str(out / "embeddings.emb1"),
+               "--attributes", str(out / "attributes.csv"), "--student", str(out / "student.fus1"),
+               "--episodes", "1")
+    assert code == 1
+    assert "has 40 samples, episode needs 45" in capsys.readouterr().err
 
 
 def test_stage_config_precedence_flag_then_ini_then_default():
@@ -307,3 +333,26 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
     assert code == 1
     first, second = (paths[flag] for flag in named)
     assert f"cftmal {stage}: error: {first} does not fit {second}: {detail}" in err
+
+
+@pytest.mark.parametrize("stage, inputs, count, option, output", [
+    ("train-cft", ["embeddings", "samples"], ["--epochs", "0"], "epochs", "adapter.adp1"),
+    ("teacher", ["attributes"], ["--teacher-epochs", "0"], "teacher_epochs", "teacher.tch1"),
+    ("maml", ["embeddings", "attributes"], ["--meta-iterations", "0"], "meta_iterations",
+     "student.fus1"),
+    ("eval", ["embeddings", "attributes", "student"], ["--episodes", "0"], "episodes", "eval.csv"),
+    ("ablate", [], ["--seeds", "0"], "seeds", "ablation.csv"),
+], ids=["train-cft", "teacher", "maml", "eval", "ablate"])
+def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
+                                                stage, inputs, count, option, output):
+    files = {"embeddings": "embeddings.emb1", "samples": "samples.jsonl",
+             "attributes": "attributes.csv", "student": "student.fus1"}
+    argv = [stage, "--out", str(tmp_path), *count]
+    for flag in inputs:
+        argv += [f"--{flag}", str(mismatched / "a" / files[flag])]
+    (tmp_path / output).write_bytes(b"earlier run")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"cftmal {stage}: error: {option} must" in err and "Traceback" not in err
+    assert (tmp_path / output).read_bytes() == b"earlier run"
