@@ -15,8 +15,8 @@ from .data import (
     write_embeddings,
 )
 from .distill import KdConfig, kd_loss
-from .fusion import FusionModel, MultimodalSample, TeacherModel, init_fusion, init_teacher, teacher_train
-from .meta import Episode, MamlConfig, build_pool, evaluate_few_shot, inner_adapt, maml_train, meta_step, sample_episode
+from .fusion import FusionModel, TeacherModel, init_fusion, init_teacher, teacher_train
+from .meta import Batch, Episode, MamlConfig, build_pool, evaluate_few_shot, inner_adapt, maml_train, meta_step, sample_episode
 from .metrics import AblationSettings, embedding_quality, project_2d, run_ablation, run_pipeline
 from .mining import (
     ContrastiveSample,

@@ -78,10 +78,9 @@ class CftConfig:
     def validate(self) -> None:
         if self.temperature <= 0.0:
             raise ValueError("temperature must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("batch_size", "epochs", "hidden_dim", "output_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.denominator_mode not in ("in_sample", "in_batch"):
             raise ValueError(f"unknown denominator mode {self.denominator_mode!r}")
 

@@ -201,7 +201,7 @@ def _meta_inputs(v):
         raise _mismatch(attr_path, emb_path, exc) from exc
 
     def fit(model, path):
-        checks = [("attribute width", model.attr_dim, pool[0].attributes.shape[0], attr_path),
+        checks = [("attribute width", model.attr_dim, pool.attrs.shape[1], attr_path),
                   ("class count", model.n_classes, len(corpus.families), emb_path)]
         if model.emb_branch:  # a student; a teacher reads attributes alone
             checks.append(("embedding width", model.emb_dim, corpus.dim, emb_path))
@@ -218,8 +218,7 @@ def _meta_inputs(v):
 def _cmd_maml(v, mamlcfg, kd, path, hist_path):
     corpus, pool, teacher, _ = _meta_inputs(v)
     kd = kd if teacher else None
-    attr_dim = pool[0].attributes.shape[0]
-    student = init_fusion(attr_dim, corpus.dim, len(corpus.families), mamlcfg.seed)
+    student = init_fusion(pool.attrs.shape[1], corpus.dim, len(corpus.families), mamlcfg.seed)
     student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
     student.save(path)
     data.write_csv(hist_path, ["iteration", "query_loss", "query_accuracy"],

@@ -15,7 +15,7 @@ gradient without forming any Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,19 +41,9 @@ FUS1_MAGIC = b"FUS1"
 TCH1_MAGIC = b"TCH1"
 
 
-@dataclass
-class MultimodalSample:
-    id: str
-    attributes: np.ndarray
-    embedding: np.ndarray
-    label: int
-
-
-def batch_arrays(samples):
-    attrs = np.stack([s.attributes for s in samples])
-    embs = np.stack([s.embedding for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return attrs, embs, labels
+def batch_arrays(batch):
+    """The (attrs, embs, labels) arrays of a `meta.Batch`."""
+    return tuple(batch)
 
 
 def _concat(parts):

@@ -9,21 +9,31 @@ inner steps with Hessian-vector products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Corpus, write_csv
-from .fusion import MultimodalSample, batch_arrays
 from .numeric import ShapeError, adamw_init, adamw_step
+
+
+class Batch(NamedTuple):
+    """Row-aligned (attrs, embs, labels) matrices: a MAML pool, or the
+    support or query set gathered from its rows."""
+
+    attrs: np.ndarray
+    embs: np.ndarray
+    labels: np.ndarray
+
+    def take(self, rows) -> "Batch":
+        return Batch(self.attrs[rows], self.embs[rows], self.labels[rows])
 
 
 @dataclass
 class Episode:
-    support: list
-    query: list
-    families: list
-    seed: int
+    support: Batch
+    query: Batch
 
 
 @dataclass
@@ -39,22 +49,24 @@ class MamlConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
+        for name in ("inner_steps", "n_support", "n_query"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.inner_lr <= 0.0 or self.meta_lr < 0.0:
             raise ValueError("learning rates must be positive")
         if self.order not in ("first", "second"):
             raise ValueError(f"unknown order {self.order!r}")
 
 
-def build_pool(corpus: Corpus, attributes) -> list:
-    """Pair refined embeddings with attribute vectors by record id.
+def build_pool(corpus: Corpus, attributes) -> Batch:
+    """Pair refined embeddings with attribute vectors by record id, in
+    corpus row order: `embs` and `labels` are the corpus's own arrays.
 
     An attribute row must carry its record's family.
     """
     attr_by_id = {a.id: a for a in attributes}
-    pool = []
-    for r, label in zip(corpus.records, corpus.labels.tolist()):
+    rows = []
+    for r in corpus.records:
         a = attr_by_id.get(r.id)
         if a is None:
             raise ValueError(f"record {r.id!r} has no attribute row")
@@ -63,37 +75,31 @@ def build_pool(corpus: Corpus, attributes) -> list:
                 f"record {r.id!r}: attribute row family {a.family!r} "
                 f"!= embedding family {r.family!r}"
             )
-        pool.append(MultimodalSample(r.id, a.attributes, r.vector, label))
-    return pool
+        rows.append(a.attributes)
+    return Batch(np.stack(rows), corpus.vectors, corpus.labels)
 
 
-def sample_episode(pool, cfg: MamlConfig, seed: int) -> Episode:
-    """Uniform without-replacement support/query draw per family."""
-    by_label = {}
-    for s in pool:
-        by_label.setdefault(s.label, []).append(s)
-    labels = sorted(by_label)
+def sample_episode(pool: Batch, cfg: MamlConfig, seed: int) -> Episode:
+    """Uniform without-replacement support/query draw per family: one
+    permutation of each label's rows, labels in ascending order."""
     rng = np.random.default_rng([seed, 0xE915])
     need = cfg.n_support + cfg.n_query
     support, query = [], []
-    for lbl in labels:
-        members = by_label[lbl]
+    for lbl in np.unique(pool.labels).tolist():
+        members = np.flatnonzero(pool.labels == lbl)
         if len(members) < need:
             raise ValueError(
                 f"class {lbl} has {len(members)} samples, episode needs {need}"
             )
-        order = rng.permutation(len(members))
-        support += [members[i] for i in order[: cfg.n_support]]
-        query += [members[i] for i in order[cfg.n_support : need]]
-    return Episode(support, query, labels, seed)
+        drawn = members[rng.permutation(len(members))]
+        support.append(drawn[: cfg.n_support])
+        query.append(drawn[cfg.n_support : need])
+    return Episode(pool.take(np.concatenate(support)), pool.take(np.concatenate(query)))
 
 
-def _support_batch(support, teacher, kd_cfg):
-    """Stacked (attrs, embs, labels) of a support set and its inner-loop KD."""
-    if not support:
-        raise ValueError("empty support set")
-    attrs, embs, labels = batch_arrays(support)
-    return attrs, embs, labels, _kd_tuple(teacher, kd_cfg, attrs, where="inner")
+def _support_batch(support: Batch, teacher, kd_cfg):
+    """A support set's (attrs, embs, labels) and its inner-loop KD."""
+    return (*support, _kd_tuple(teacher, kd_cfg, support.attrs, where="inner"))
 
 
 def _adapt(model, batch, inner_steps: int, inner_lr: float):
@@ -121,8 +127,7 @@ def inner_adapt(model, support, inner_steps: int, inner_lr: float,
     """
     batch = _support_batch(support, teacher, kd_cfg)
     adapted, trace = _adapt(model, batch, inner_steps, inner_lr)
-    attrs, embs, labels, kd = batch
-    final_loss, _ = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
+    final_loss, _ = adapted.loss_and_grads(*support, kd=batch[-1])
     return adapted, trace + [final_loss]
 
 
@@ -154,7 +159,7 @@ def second_order_meta_gradient(theta0, support_grad_fn, support_hvp_fn,
 
 def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cfg):
     support = _support_batch(episode.support, teacher, kd_cfg)
-    q_attrs, q_embs, q_labels = batch_arrays(episode.query)
+    q_attrs, q_embs, q_labels = episode.query
     kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
     if cfg.order == "second":
         s_attrs, s_embs, s_labels, kd_inner = support
@@ -254,6 +259,8 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
         raise ValueError("episodes must be >= 1")
     if support_sizes is None:
         support_sizes = [cfg.n_support]
+    if any(size < 1 for size in support_sizes):
+        raise ValueError("support_sizes must be >= 1")
     rows = []
     for size in support_sizes:
         ep_cfg = MamlConfig(**{**cfg.__dict__, "n_support": size})
@@ -264,7 +271,7 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
                 model, _support_batch(ep.support, teacher, kd_cfg),
                 cfg.inner_steps, cfg.inner_lr,
             )
-            attrs, embs, labels = batch_arrays(ep.query)
+            attrs, embs, labels = ep.query
             preds = adapted.forward(attrs, embs).argmax(axis=1)
             accs.append(float(np.mean(preds == labels)))
         rows.append({

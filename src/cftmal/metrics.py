@@ -235,7 +235,7 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
         with _stage("pool"):
             train_pool = build_pool(refined_train, train_a)
             test_pool = build_pool(refined_test, test_a)
-            attr_dim, n_classes = train_pool[0].attributes.shape[0], len(corpus.families)
+            attr_dim, n_classes = train_pool.attrs.shape[1], len(corpus.families)
         kd_teacher, kd = (None, None) if method == "attributes_only" else (teacher, settings.kd)
         with _stage("maml"):
             student = (init_teacher(attr_dim, n_classes, seed) if kd_teacher is None

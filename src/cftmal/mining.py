@@ -176,6 +176,8 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
     """Assemble contrastive samples: per anchor, several distinct draws of
     hard + diverse negatives."""
     cfg.validate()
+    if cfg.samples_per_anchor < 1:
+        raise ValueError("samples_per_anchor must be >= 1")
     for a in anchors:
         if a.family != positive.family:
             raise ValueError(f"anchor {a.id!r} is not in family {positive.family!r}")

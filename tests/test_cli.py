@@ -342,11 +342,21 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
      "student.fus1"),
     ("eval", ["embeddings", "attributes", "student"], ["--episodes", "0"], "episodes", "eval.csv"),
     ("ablate", [], ["--seeds", "0"], "seeds", "ablation.csv"),
-], ids=["train-cft", "teacher", "maml", "eval", "ablate"])
+    ("maml", ["embeddings", "attributes"], ["--n-query", "0"], "n_query", "student.fus1"),
+    ("maml", ["embeddings", "attributes"], ["--n-support", "0"], "n_support", "student.fus1"),
+    ("eval", ["embeddings", "attributes", "student"], ["--support-sizes", "5,0"], "support_sizes",
+     "eval.csv"),
+    ("samples", ["embeddings", "negatives"], ["--samples-per-anchor", "0"], "samples_per_anchor",
+     "samples.jsonl"),
+    ("train-cft", ["embeddings", "samples"], ["--hidden-dim", "0"], "hidden_dim", "adapter.adp1"),
+    ("train-cft", ["embeddings", "samples"], ["--output-dim", "0"], "output_dim", "adapter.adp1"),
+], ids=["train-cft", "teacher", "maml", "eval", "ablate", "maml-n-query", "maml-n-support",
+        "eval-support-sizes", "samples-per-anchor", "train-cft-hidden-dim", "train-cft-output-dim"])
 def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
                                                 stage, inputs, count, option, output):
     files = {"embeddings": "embeddings.emb1", "samples": "samples.jsonl",
-             "attributes": "attributes.csv", "student": "student.fus1"}
+             "attributes": "attributes.csv", "student": "student.fus1",
+             "negatives": "negatives.jsonl"}
     argv = [stage, "--out", str(tmp_path), *count]
     for flag in inputs:
         argv += [f"--{flag}", str(mismatched / "a" / files[flag])]

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from cftmal.data import AttributeRecord
+from cftmal.data import AttributeRecord, Corpus, DescriptionRecord
 from cftmal.fusion import (
     FusionModel,
-    MultimodalSample,
     TeacherModel,
     batch_arrays,
     init_fusion,
     init_teacher,
     teacher_train,
 )
+from cftmal.meta import build_pool
 from cftmal.numeric import DenseLayer, ShapeError, param_views
 
 
@@ -170,10 +170,13 @@ def test_teacher_save_load(tmp_path):
 
 
 def test_batch_arrays():
-    pool = [MultimodalSample("a", np.ones(2), np.zeros(3), 1),
-            MultimodalSample("b", np.ones(2) * 2, np.ones(3), 0)]
-    attrs, embs, labels = batch_arrays(pool)
+    corpus = Corpus([DescriptionRecord("a", "f1", np.zeros(3)),
+                     DescriptionRecord("b", "f0", np.ones(3))], 3)
+    rows = [AttributeRecord("b", "f0", np.ones(2) * 2), AttributeRecord("a", "f1", np.ones(2))]
+    attrs, embs, labels = batch_arrays(build_pool(corpus, rows))
     assert attrs.shape == (2, 2) and embs.shape == (2, 3)
+    np.testing.assert_array_equal(attrs, [[1.0, 1.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(embs, [np.zeros(3), np.ones(3)])
     assert labels.tolist() == [1, 0] and labels.dtype == np.int64
 
 

@@ -4,7 +4,6 @@ import pytest
 from cftmal.data import AttributeRecord, SyntheticSpec, generate_synthetic
 from cftmal.fusion import FusionModel, batch_arrays, init_fusion, teacher_train
 from cftmal.meta import (
-    Episode,
     MamlConfig,
     build_pool,
     evaluate_few_shot,
@@ -18,19 +17,32 @@ from cftmal.meta import (
 from cftmal.numeric import param_views
 
 
-def make_pool(seed=0, n_families=3, per_family=40):
+def make_data(seed=0, n_families=3, per_family=40):
     spec = SyntheticSpec(n_families=n_families, records_per_family=per_family,
                          embedding_dim=8, attribute_dim=4, seed=seed)
-    corpus, attrs = generate_synthetic(spec)
+    return generate_synthetic(spec)
+
+
+def make_pool(seed=0, n_families=3, per_family=40):
+    corpus, attrs = make_data(seed, n_families, per_family)
     return build_pool(corpus, attrs), len(corpus.families), corpus.dim
 
 
 def test_build_pool_pairs_by_id():
-    pool, n_classes, _ = make_pool()
-    assert n_classes == 3
-    assert len(pool) == 120
-    labels = {s.label for s in pool}
-    assert labels == {0, 1, 2}
+    corpus, attrs = make_data()
+    shuffled = [attrs[i] for i in np.random.default_rng(0).permutation(len(attrs))]
+    pool = build_pool(corpus, shuffled)
+    assert len(corpus.families) == 3
+    assert pool.attrs.shape == (120, 4) and pool.embs.shape == (120, 8)
+    assert set(pool.labels.tolist()) == {0, 1, 2}
+    by_id = {a.id: a.attributes for a in attrs}
+    for i, r in enumerate(corpus.records):  # row i of every matrix is record i
+        np.testing.assert_array_equal(pool.attrs[i], by_id[r.id])
+        np.testing.assert_array_equal(pool.embs[i], r.vector)
+        assert pool.labels[i] == corpus.families.index(r.family)
+    # the embeddings and labels are the corpus's own arrays, not copies
+    assert pool.embs is corpus.vectors and np.shares_memory(pool.embs, corpus.vectors)
+    assert pool.labels is corpus.labels
 
 
 def test_build_pool_missing_attribute():
@@ -52,19 +64,85 @@ def test_build_pool_rejects_family_mismatch():
         build_pool(corpus, attrs)
 
 
+def pool_rows(pool, batch):
+    """The pool row of each row of a gathered batch (synthetic embeddings are distinct)."""
+    row_of = {e.tobytes(): i for i, e in enumerate(pool.embs)}
+    assert len(row_of) == len(pool.embs)
+    rows = [row_of[e.tobytes()] for e in batch.embs]
+    for field in ("attrs", "embs", "labels"):
+        np.testing.assert_array_equal(getattr(batch, field), getattr(pool, field)[rows])
+    return rows
+
+
 def test_sample_episode_structure_and_determinism():
     pool, _, _ = make_pool()
     cfg = MamlConfig(n_support=5, n_query=7)
     ep1 = sample_episode(pool, cfg, seed=42)
     ep2 = sample_episode(pool, cfg, seed=42)
-    assert [s.id for s in ep1.support] == [s.id for s in ep2.support]
-    assert [s.id for s in ep1.query] == [s.id for s in ep2.query]
-    assert len(ep1.support) == 15 and len(ep1.query) == 21
-    sup_ids = {s.id for s in ep1.support}
-    qry_ids = {s.id for s in ep1.query}
-    assert not sup_ids & qry_ids
+    assert pool_rows(pool, ep1.support) == pool_rows(pool, ep2.support)
+    assert pool_rows(pool, ep1.query) == pool_rows(pool, ep2.query)
+    assert len(ep1.support.labels) == 15 and len(ep1.query.labels) == 21
+    assert ep1.support.labels.tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    assert ep1.query.labels.tolist() == [0] * 7 + [1] * 7 + [2] * 7
+    sup_rows = set(pool_rows(pool, ep1.support))
+    qry_rows = set(pool_rows(pool, ep1.query))
+    assert len(sup_rows) == 15 and len(qry_rows) == 21
+    assert not sup_rows & qry_rows
     ep3 = sample_episode(pool, cfg, seed=43)
-    assert [s.id for s in ep3.support] != [s.id for s in ep1.support]
+    assert pool_rows(pool, ep3.support) != pool_rows(pool, ep1.support)
+    assert set(vars(ep1)) == {"support", "query"}
+
+
+def reference_episode(corpus, attrs, cfg, seed):
+    """The per-record draw: regroup the records by label in corpus order,
+    one `rng.permutation` per label in ascending label order, each set
+    stacked from the records' own vectors."""
+    attr_by_id = {a.id: a.attributes for a in attrs}
+    by_label = {}
+    for r, label in zip(corpus.records, corpus.labels.tolist()):
+        by_label.setdefault(label, []).append((attr_by_id[r.id], r.vector, label))
+    rng = np.random.default_rng([seed, 0xE915])
+    need = cfg.n_support + cfg.n_query
+    support, query = [], []
+    for label in sorted(by_label):
+        members = by_label[label]
+        order = rng.permutation(len(members))
+        support += [members[i] for i in order[: cfg.n_support]]
+        query += [members[i] for i in order[cfg.n_support : need]]
+
+    def stacked(part):
+        return (np.stack([m[0] for m in part]), np.stack([m[1] for m in part]),
+                np.array([m[2] for m in part], dtype=np.int64))
+
+    return stacked(support), stacked(query)
+
+
+@pytest.mark.parametrize("n_support, n_query", [(1, 1), (5, 7), (10, 20), (1, 29), (15, 15)])
+def test_sample_episode_matches_the_per_record_draw(n_support, n_query):
+    corpus, attrs = make_data(seed=3, n_families=4, per_family=30)
+    pool = build_pool(corpus, attrs)
+    assert np.shares_memory(pool.embs, corpus.vectors)
+    cfg = MamlConfig(n_support=n_support, n_query=n_query)
+    for seed in (0, 1, 42, 2**31 + 5):
+        ep = sample_episode(pool, cfg, seed=seed)
+        for got, want in zip((ep.support, ep.query), reference_episode(corpus, attrs, cfg, seed)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
+def test_meta_training_and_eval_stack_no_episode(monkeypatch):
+    """Episodes are row gathers of the pool built once by build_pool."""
+    pool, n_classes, d = make_pool(per_family=60)
+    model = init_fusion(4, d, n_classes, seed=5)
+    cfg = MamlConfig(inner_steps=1, tasks_per_meta_batch=2, meta_iterations=2, order="second")
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("np.stack called on the episode path")
+
+    monkeypatch.setattr(np, "stack", no_stack)
+    maml_train(model, pool, cfg)
+    evaluate_few_shot(model, pool, cfg, n_episodes=2, support_sizes=[1, 5])
 
 
 def test_sample_episode_insufficient_members():
@@ -282,6 +360,9 @@ def test_maml_config_validation():
         MamlConfig(inner_lr=0.0).validate()
     with pytest.raises(ValueError):
         MamlConfig(order="third").validate()
+    for name in ("n_support", "n_query"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            MamlConfig(**{name: 0}).validate()
 
 
 def test_layers_stay_views_of_the_flat_parameter_vector(tmp_path):
@@ -299,7 +380,8 @@ def test_layers_stay_views_of_the_flat_parameter_vector(tmp_path):
     assert_bound(model)  # building a model from another's layers leaves them bound
     model.save(tmp_path / "m.fus1")
     assert_bound(FusionModel.load(tmp_path / "m.fus1"))
-    attrs = [AttributeRecord(s.id, f"f{s.label}", s.attributes) for s in pool]
+    attrs = [AttributeRecord(f"r{i}", f"f{label}", a)
+             for i, (a, label) in enumerate(zip(pool.attrs, pool.labels.tolist()))]
     teacher, _ = teacher_train(attrs, ["f0", "f1", "f2"], epochs=1)
     assert_bound(teacher)
     cfg = MamlConfig(inner_steps=1, inner_lr=0.05, tasks_per_meta_batch=1)
