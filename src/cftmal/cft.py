@@ -8,32 +8,24 @@ pass through it before the similarity computation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Corpus, DescriptionRecord, write_csv
-from .numeric import (
-    ShapeError,
-    adamw_init,
-    adamw_step,
-    bind_params,
-    chain_backward,
-    chain_forward,
-    init_dense,
-)
-from .serial import read_layers, write_layers
+from .fusion import FusionModel
+from .numeric import ShapeError, adamw_init, adamw_step, init_dense
 from .similarity import ZeroNormWarning, normalize_rows
 
 ADP1_MAGIC = b"ADP1"
 
 
-class AdapterHead:
-    """[in -> hidden relu, hidden -> out identity]: copies of `layers` bound to one flat `params`."""
+class AdapterHead(FusionModel):
+    """The adapter as a `FusionModel` layout: in -> hidden relu is its one
+    branch, hidden -> out identity its head."""
 
-    def __init__(self, layers):
-        self.layers = [replace(l) for l in layers]
-        self.params = bind_params(self.layers)
+    MAGIC = ADP1_MAGIC
+    LAYOUT = (1, 0, 1)
 
     @property
     def in_dim(self) -> int:
@@ -43,24 +35,11 @@ class AdapterHead:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = chain_forward(self.layers, x)
-        return out
-
-    def save(self, path) -> None:
-        write_layers(path, ADP1_MAGIC, self.layers)
-
-    @classmethod
-    def load(cls, path) -> "AdapterHead":
-        return cls(read_layers(path, ADP1_MAGIC))
-
 
 def init_adapter(in_dim: int, hidden_dim: int, out_dim: int, seed: int) -> AdapterHead:
     rng = np.random.default_rng([seed, 0x41445031])
-    return AdapterHead([
-        init_dense(in_dim, hidden_dim, "relu", rng),
-        init_dense(hidden_dim, out_dim, "identity", rng),
-    ])
+    hidden = init_dense(in_dim, hidden_dim, "relu", rng)
+    return AdapterHead([hidden], [], init_dense(hidden_dim, out_dim, "identity", rng))
 
 
 @dataclass
@@ -169,7 +148,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
             bsz = len(rows)
             # the batch's anchors, then its positives, then its negatives
             flat = corpus.vectors[np.concatenate([rows[:, 0], rows[:, 1], rows[:, 2:].ravel()])]
-            out, caches = chain_forward(head.layers, flat)
+            out, cache = head.forward_cache(flat)
             za = out[:bsz]
             zp = out[bsz : 2 * bsz]
             zn = out[2 * bsz :].reshape(bsz, k, -1)
@@ -181,8 +160,7 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
             else:
                 loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
-            grads, _ = chain_backward(head.layers, caches, upstream, input_grad=False)
-            adamw_step(opt, head.params, grads)
+            adamw_step(opt, head.params, head.backward(cache, upstream))
             trace.append((batch_index, loss))
             batch_index += 1
     return head, trace

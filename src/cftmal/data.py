@@ -134,6 +134,8 @@ def _read_emb1(path) -> Corpus:
     n, d = struct.unpack("<II", raw[4:12])
     if d < 1:
         raise FormatError(f"{path}: dimension must be positive, got {d}")
+    if n == 0:
+        raise FormatError(f"{path}: no records")
     payload_end = 12 + 4 * n * d
     if len(raw) < payload_end:
         raise FormatError(

@@ -1,11 +1,15 @@
-"""The multimodal student and the attribute-only teacher: one model.
+"""One network class, `FusionModel`: input branches whose outputs are
+concatenated and fed to a head.
 
-A model is a list of input branches whose outputs are concatenated and
-fed to a head. The student has an attribute branch and an embedding
-branch under a fusion layer and a classifier; the teacher has an
-attribute branch of the same shape, no embedding branch, and a
-classifier alone as its head. Every pass loops over the branches, so
-student and teacher share one implementation.
+Each trainable network of the pipeline is a layout of this class, fixed
+by a checkpoint magic and its (attribute branch, embedding branch, head)
+layer counts. The student (FUS1) has an attribute branch and an
+embedding branch under a fusion layer and a classifier. The teacher
+(TCH1) has an attribute branch of the same shape, no embedding branch
+and a classifier alone as its head. The contrastive adapter (ADP1,
+`cft.AdapterHead`) has its hidden layer as its one branch and its output
+layer as its head. Every pass loops over the branches, so all three share
+one forward, backward, checkpoint and parameter binding.
 
 The Hessian-vector product is computed by a forward-over-reverse sweep:
 a parameter tangent is carried through the forward pass and then through
@@ -51,10 +55,11 @@ def _concat(parts):
 
 
 class FusionModel:
-    """Branches -> concat -> head. The student: attr branch (m -> h_a relu
-    -> 128 relu) + emb branch (d' -> 128) -> fusion (256 relu) -> classifier
-    (n_classes). Every layer's weights and bias are views into the flat
-    vector `params`; gradients and Hessian-vector products share its layout."""
+    """Branches -> concat -> head. As the student: attr branch (m -> h_a
+    relu -> 128 relu) + emb branch (d' -> 128) -> fusion (256 relu) ->
+    classifier (n_classes). Every layer's weights and bias are views into
+    the flat vector `params`; gradients and Hessian-vector products share
+    its layout. A layout subclass sets only `MAGIC` and `LAYOUT`."""
 
     MAGIC = FUS1_MAGIC
     LAYOUT = (2, 1, 2)  # attr, emb and head layers in a checkpoint
@@ -66,16 +71,17 @@ class FusionModel:
             [replace(l) for l in chain] for chain in (attr_branch, emb_branch, head))
         if not self.attr_branch or not self.head:
             raise ShapeError("a model needs an attribute branch and a head")
-        if sum(b[-1].out_dim for b in self.branches) != self.head[0].in_dim:
-            raise ShapeError("branch output widths do not add up to the head input width")
-        self.params = (bind_params(self.layers) if params is None
-                       else rebind_params(self.layers, params))
-
-    @classmethod
-    def _assemble(cls, attr_branch, emb_branch, head, params=None):
-        model = cls.__new__(cls)
-        FusionModel.__init__(model, attr_branch, emb_branch, *head, params=params)
-        return model
+        layers = self.layers  # each layer but the first of a chain takes its predecessor's output
+        starts = {len(self.attr_branch), len(self.attr_branch) + len(self.emb_branch)}
+        for i in range(1, len(layers)):
+            if i not in starts and layers[i - 1].out_dim != layers[i].in_dim:
+                raise ShapeError(f"layer {i} takes {layers[i].in_dim} inputs, "
+                                 f"layer {i - 1} gives {layers[i - 1].out_dim}")
+        widths = [b[-1].out_dim for b in self.branches]
+        if sum(widths) != self.head[0].in_dim:
+            raise ShapeError(f"branch output widths {widths} do not add up to the head "
+                             f"input width {self.head[0].in_dim}")
+        self.params = bind_params(layers) if params is None else rebind_params(layers, params)
 
     @property
     def branches(self):
@@ -117,7 +123,7 @@ class FusionModel:
     def bound_to(self, params) -> "FusionModel":
         """This model with its layers viewing the flat vector `params`, which
         is not copied: a pass through it reads `params` as they stand."""
-        return self._assemble(self.attr_branch, self.emb_branch, self.head, params)
+        return type(self)(self.attr_branch, self.emb_branch, *self.head, params=params)
 
     def clone(self) -> "FusionModel":
         return self.bound_to(self.params.copy())
@@ -186,9 +192,10 @@ class FusionModel:
                 f"{path}: expected {n_attr + n_emb + n_head} layers in a "
                 f"{cls.MAGIC.decode()} checkpoint, got {len(layers)}"
             )
-        return cls._assemble(
-            layers[:n_attr], layers[n_attr : n_attr + n_emb], layers[n_attr + n_emb :]
-        )
+        try:
+            return cls(layers[:n_attr], layers[n_attr : n_attr + n_emb], *layers[n_attr + n_emb :])
+        except ShapeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 class TeacherModel(FusionModel):
@@ -196,9 +203,6 @@ class TeacherModel(FusionModel):
 
     MAGIC = TCH1_MAGIC
     LAYOUT = (2, 0, 1)
-
-    def __init__(self, attr_branch, classifier):
-        super().__init__(attr_branch, [], classifier)
 
 
 ATTR_HIDDEN = 256  # attribute branch hidden width
@@ -224,7 +228,7 @@ def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
         init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
     ]
     classifier = init_dense(BRANCH_WIDTH, n_classes, "identity", rng)
-    return TeacherModel(attr_branch, classifier)
+    return TeacherModel(attr_branch, [], classifier)
 
 
 TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01

@@ -205,7 +205,7 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
         need = settings.maml.n_support + settings.maml.n_query
         _check_episode_fits("train", train_c, need)  # MAML samples its episodes here
         _check_episode_fits("meta-test", test_c, need)  # and eval here
-    raw_gap = separation_gap(train_c)
+        raw_gap = separation_gap(train_c)
     if {"random_cft", "similarity_cft"} & set(methods):
         with _stage("mine"):
             positives = mining.select_positives(train_c)
@@ -231,7 +231,7 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
                 head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
                 refined_train = cft.refine(head, train_c)
                 refined_test = cft.refine(head, test_c) if len(test_c.records) else test_c
-            out["refined_gap"] = separation_gap(refined_train)
+                out["refined_gap"] = separation_gap(refined_train)
         with _stage("pool"):
             train_pool = build_pool(refined_train, train_a)
             test_pool = build_pool(refined_test, test_a)

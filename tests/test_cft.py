@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.cft import (
+    ADP1_MAGIC,
     AdapterHead,
     CftConfig,
     _info_nce_batch,
@@ -11,9 +12,18 @@ from cftmal.cft import (
     refine,
     train_adapter,
 )
-from cftmal.data import Corpus, DescriptionRecord
+from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.mining import MiningConfig, build_samples, mine_negatives, select_positives
-from cftmal.numeric import ShapeError
+from cftmal.numeric import (
+    ShapeError,
+    adamw_init,
+    adamw_step,
+    bind_params,
+    chain_backward,
+    chain_forward,
+    init_dense,
+)
+from cftmal.serial import write_layers
 from cftmal.similarity import ZeroNormWarning
 
 
@@ -217,6 +227,51 @@ def test_train_adapter_in_batch_mode_runs():
     assert all(np.isfinite(l) for _, l in trace)
 
 
+def reference_train_adapter(samples, corpus, cfg):
+    """The adapter loop that drives `chain_forward` / `chain_backward` on the
+    two layers by hand: (flat parameters, loss trace) after training."""
+    rng = np.random.default_rng([cfg.seed, 0x41445031])
+    layers = [init_dense(corpus.dim, cfg.hidden_dim, "relu", rng),
+              init_dense(cfg.hidden_dim, cfg.output_dim, "identity", rng)]
+    params = bind_params(layers)
+    rows = np.array([[corpus.rows[rid] for rid in (s.anchor, s.positive, *s.negatives)]
+                     for s in samples])
+    n, k = rows.shape[0], rows.shape[1] - 2
+    opt = adamw_init(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    trace = []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, 0xC47, epoch]).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = rows[order[start : start + cfg.batch_size]]
+            bsz = len(batch)
+            flat = corpus.vectors[np.concatenate([batch[:, 0], batch[:, 1], batch[:, 2:].ravel()])]
+            out, caches = chain_forward(layers, flat)
+            za, zp, zn = out[:bsz], out[bsz : 2 * bsz], out[2 * bsz :].reshape(bsz, k, -1)
+            if cfg.denominator_mode == "in_sample":
+                cands = np.concatenate([zp[:, None, :], zn], axis=1)
+                loss, ga, gc = _info_nce_batch(za, cands, cfg.temperature)
+                gp, gn = gc[:, 0], gc[:, 1:]
+            else:
+                loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
+            upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
+            grads, _ = chain_backward(layers, caches, upstream, input_grad=False)
+            adamw_step(opt, params, grads)
+            trace.append((len(trace), loss))
+    return params, trace
+
+
+@pytest.mark.parametrize("mode", ["in_sample", "in_batch"])
+def test_train_adapter_matches_the_direct_chain_loop(mode):
+    corpus, samples = tiny_setup(seed=4)
+    cfg = CftConfig(learning_rate=1e-3, epochs=2, batch_size=8, hidden_dim=16, output_dim=8,
+                    denominator_mode=mode, seed=5)
+    head, trace = train_adapter(samples, corpus, cfg)
+    params, want = reference_train_adapter(samples, corpus, cfg)
+    assert len(samples) % cfg.batch_size  # a short last batch is covered too
+    assert head.params.tobytes() == params.tobytes()
+    assert trace == want
+
+
 def test_train_adapter_validation():
     corpus, samples = tiny_setup()
     with pytest.raises(ValueError):
@@ -255,11 +310,21 @@ def test_adapter_save_load_roundtrip(tmp_path):
     head.save(path)
     back = AdapterHead.load(path)
     # checkpoint stores float32, so compare through the same quantization
-    quant = AdapterHead(head.layers)
+    quant = head.clone()
     for l in quant.layers:
         l.weights = l.weights.astype(np.float32).astype(np.float64)
         l.bias = l.bias.astype(np.float32).astype(np.float64)
     np.testing.assert_array_equal(back.forward(x), quant.forward(x))
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_adapter_load_enforces_two_layers(tmp_path, n_layers):
+    layers = init_adapter(8, 8, 8, seed=0).layers
+    path = tmp_path / "a.adp1"
+    write_layers(path, ADP1_MAGIC, (layers * 2)[:n_layers])
+    with pytest.raises(FormatError) as exc:
+        AdapterHead.load(path)
+    assert str(exc.value) == f"{path}: expected 2 layers in a ADP1 checkpoint, got {n_layers}"
 
 
 def test_adapter_load_rejects_wrong_magic(tmp_path):

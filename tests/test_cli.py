@@ -1,11 +1,15 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from cftmal import mining
 from cftmal.cft import CftConfig
 from cftmal.cli import _build_parser, _config, main
+from cftmal.data import Corpus, write_embeddings
+from cftmal.numeric import DenseLayer
+from cftmal.serial import read_layers, write_layers
 
 
 def sha(path):
@@ -366,3 +370,55 @@ def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"cftmal {stage}: error: {option} must" in err and "Traceback" not in err
     assert (tmp_path / output).read_bytes() == b"earlier run"
+
+
+def test_mine_rejects_embeddings_without_records(tmp_path, capsys):
+    path = tmp_path / "empty.emb1"
+    write_embeddings(path, Corpus([], 8))
+    capsys.readouterr()
+    assert run("mine", "--out", str(tmp_path), "--embeddings", str(path)) == 1
+    assert f"cftmal mine: error: {path}: no records" in capsys.readouterr().err
+    assert not (tmp_path / "negatives.jsonl").exists()
+
+
+def _taking(layer, width):
+    """`layer` with its weights reshaped to take `width` inputs."""
+    return DenseLayer(np.zeros((layer.out_dim, width)), layer.bias, layer.activation)
+
+
+# (stage, the checkpoint's flag and file, the edit of its layers, the other
+# inputs, the output the stage must not write, detail)
+BAD_CHECKPOINTS = {
+    "adapter-3-layers": (
+        "refine", "adapter", "adapter.adp1", lambda ls: ls + ls[-1:], ["embeddings"],
+        "refined.emb1", "expected 2 layers in a ADP1 checkpoint, got 3"),
+    "adapter-widths": (
+        "refine", "adapter", "adapter.adp1", lambda ls: [ls[0], _taking(ls[1], 12)],
+        ["embeddings"], "refined.emb1",
+        "branch output widths [8] do not add up to the head input width 12"),
+    "student-widths": (
+        "eval", "student", "student.fus1", lambda ls: ls[:3] + [_taking(ls[3], 200), ls[4]],
+        ["embeddings", "attributes"], "eval.csv",
+        "branch output widths [128, 128] do not add up to the head input width 200"),
+    "teacher-widths": (
+        "maml", "teacher", "teacher.tch1", lambda ls: [ls[0], _taking(ls[1], 100), ls[2]],
+        ["embeddings", "attributes"], "student.fus1", "layer 1 takes 100 inputs, layer 0 gives 256"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def test_bad_checkpoint_layout_exits_1_naming_the_file(mismatched, tmp_path, capsys, case):
+    stage, flag, name, edit, inputs, output, detail = BAD_CHECKPOINTS[case]
+    good = mismatched / "a" / name
+    magic = good.read_bytes()[:4]
+    bad = tmp_path / name
+    write_layers(bad, magic, edit(read_layers(good, magic)))
+    files = {"embeddings": "embeddings.emb1", "attributes": "attributes.csv"}
+    argv = [stage, "--out", str(tmp_path), f"--{flag}", str(bad)]
+    for other in inputs:
+        argv += [f"--{other}", str(mismatched / "a" / files[other])]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"cftmal {stage}: error: {bad}: {detail}" in err and "Traceback" not in err
+    assert not (tmp_path / output).exists()

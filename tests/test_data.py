@@ -100,6 +100,14 @@ def test_emb1_bad_magic(tmp_path):
         _read_emb1(path)
 
 
+def test_emb1_without_records_is_rejected(tmp_path):
+    path = tmp_path / "empty.emb1"
+    write_embeddings(path, Corpus([], 3))
+    assert len(path.read_bytes()) == 12  # the bare header
+    with pytest.raises(FormatError, match=f"^{path}: no records$"):
+        load_embeddings(path)
+
+
 def test_emb1_truncated_payload(tmp_path):
     rng = np.random.default_rng(2)
     corpus = small_corpus(rng)

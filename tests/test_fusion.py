@@ -26,6 +26,17 @@ def tiny_fusion(rng):
     return FusionModel(attr_branch, emb_branch, fusion, classifier)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1, "layer 1 takes 5 inputs, layer 0 gives 4"),  # inside the attribute branch
+    (4, "layer 4 takes 5 inputs, layer 3 gives 4"),  # inside the head
+])
+def test_fusion_rejects_layers_that_do_not_chain(bad, message):
+    layers = tiny_fusion(np.random.default_rng(0)).layers
+    layers[bad] = DenseLayer(np.zeros((layers[bad].out_dim, 5)), np.zeros(layers[bad].out_dim))
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        FusionModel(layers[:2], layers[2:3], *layers[3:])
+
+
 def fd_param_grads(loss_fn, params, h=1e-6):
     grads = []
     for p in params:

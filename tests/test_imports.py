@@ -57,6 +57,28 @@ def test_per_family_mining_is_called_from_mining_only():
     assert offenders == []
 
 
+CHAIN_PASSES = {"chain_forward", "chain_backward", "chain_forward_jvp", "chain_backward_jvp"}
+
+
+def test_layer_chains_are_run_in_numeric_and_fusion_only():
+    """Every trainable network is a `fusion.FusionModel` layout, so no module
+    but `numeric` and `fusion` runs a layer stack by hand: a second network
+    type with its own forward and backward would grow back around such a call."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("numeric", "fusion"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in CHAIN_PASSES:
+                offenders.append(f"{path.stem}:{node.lineno} calls {name}")
+    assert offenders == []
+
+
 TEXT_FORMAT_MODULES = {"csv", "json"}
 
 

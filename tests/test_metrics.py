@@ -193,6 +193,15 @@ def test_unfillable_train_pool_fails_at_split(calls):
     assert calls == {"split": 1}  # before the positives and the teacher
 
 
+def test_raw_gap_failure_names_the_split_stage(calls):
+    corpus, attrs = generate_synthetic(SyntheticSpec(
+        n_families=1, records_per_family=80, embedding_dim=16, attribute_dim=8, seed=0))
+    with pytest.raises(PipelineStageError, match="need at least 2 families") as exc:
+        run_pipeline("similarity_cft", corpus, attrs, tiny_settings(), seed=0)
+    assert exc.value.stage == "split"
+    assert calls == {"split": 1}
+
+
 def test_run_ablation_and_csv(tmp_path):
     settings = tiny_settings()
     report = run_ablation(tiny_data, settings, seeds=[0],
