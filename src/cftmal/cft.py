@@ -7,6 +7,7 @@ pass through it before the similarity computation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,8 +56,11 @@ class CftConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        for name in ("temperature", "learning_rate"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be >= 0")
         for name in ("batch_size", "epochs", "hidden_dim", "output_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -64,38 +68,50 @@ class CftConfig:
             raise ValueError(f"unknown denominator mode {self.denominator_mode!r}")
 
 
-def _info_nce_batch(anchors: np.ndarray, candidates: np.ndarray, tau: float):
-    """Mean InfoNCE loss over a batch, candidate 0 being the positive.
+def _info_nce(za, zp, zn, tau, in_batch):
+    """Mean InfoNCE loss of B anchors, each scored against its own positive
+    and a pool of negatives: its own k (`in_batch` False) or every one of the
+    batch's B*k (`in_batch` True).
 
-    anchors: (B, d); candidates: (B, C, d). Returns
-    (loss, grad_anchors, grad_candidates). Gradient directions touching a
+    za, zp: (B, d); zn: (B, k, d). Returns (loss, grad_za, grad_zp, grad_zn).
+    The anchors form G groups, each sharing one pool of negatives: G = B in
+    sample, G = 1 in batch. The negative scores are one batched GEMM over the
+    groups and their gradients two more; gradient directions touching a
     zero-norm vector are zero.
     """
-    b, c, d = candidates.shape
-    if anchors.shape != (b, d):
-        raise ShapeError(f"anchors {anchors.shape} vs candidates {candidates.shape}")
-    a_hat, a_norm, a_zero = normalize_rows(anchors)
-    c_hat, c_norm, c_zero = normalize_rows(candidates)
-    if a_zero.any() or c_zero.any():
+    bsz, k, dd = zn.shape
+    groups = 1 if in_batch else bsz
+    a_hat, a_norm, a_zero = normalize_rows(za)
+    p_hat, p_norm, p_zero = normalize_rows(zp)
+    n_hat, n_norm, n_zero = normalize_rows(zn.reshape(bsz * k, dd))
+    if a_zero.any() or p_zero.any() or n_zero.any():
         warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
-    s = np.einsum("bd,bcd->bc", a_hat, c_hat)  # cosine; zero rows give 0
+    a_g = a_hat.reshape(groups, -1, dd)  # (G, B/G, d)
+    n_g = n_hat.reshape(groups, -1, dd)  # (G, B*k/G, d): each group's negatives
+    s_pos = np.einsum("bd,bd->b", a_hat, p_hat)
+    s_neg = a_g @ n_g.transpose(0, 2, 1)  # (G, B/G, B*k/G) cosines; zero rows give 0
+    s = np.concatenate([s_pos[:, None], s_neg.reshape(bsz, -1)], axis=1)
     logits = s / tau
     logits -= logits.max(axis=1, keepdims=True)  # stabilization (mandatory at tau=0.07)
     e = np.exp(logits)
     p = e / e.sum(axis=1, keepdims=True)
     loss = float(np.mean(-np.log(p[:, 0])))
-    # d(mean loss)/ds
-    w = p.copy()
+    # d(loss_i)/ds_ij, zeroed on zero-norm anchors, positives and negatives
+    w = p
     w[:, 0] -= 1.0
-    w /= tau * b
+    w /= tau
+    w[a_zero] = 0.0
+    w_pos, w_neg = w[:, 0:1], w[:, 1:].reshape(s_neg.shape)  # views into w
+    w_pos[p_zero] = 0.0
+    np.copyto(w_neg, 0.0, where=n_zero.reshape(groups, 1, -1))
     # cosine gradients: ds/da = (c_hat - s*a_hat)/|a|, ds/dc = (a_hat - s*c_hat)/|c|
-    w = np.where(c_zero, 0.0, w)
-    w = np.where(a_zero[:, None], 0.0, w)
-    grad_a = np.einsum("bc,bcd->bd", w, c_hat) - (w * s).sum(axis=1, keepdims=True) * a_hat
-    grad_a = np.where(a_zero[:, None], 0.0, grad_a / np.where(a_norm == 0.0, 1.0, a_norm))
-    grad_c = w[..., None] * (a_hat[:, None, :] - s[..., None] * c_hat)
-    grad_c = grad_c / np.where(c_norm == 0.0, 1.0, c_norm)
-    return loss, grad_a, grad_c
+    ga = w_pos * p_hat + (w_neg @ n_g).reshape(bsz, dd) - (w * s).sum(axis=1, keepdims=True) * a_hat
+    ga /= np.where(a_zero[:, None], 1.0, a_norm)
+    gp = w_pos * (a_hat - s_pos[:, None] * p_hat) / np.where(p_zero[:, None], 1.0, p_norm)
+    gn = w_neg.transpose(0, 2, 1) @ a_g - (w_neg * s_neg).sum(axis=1)[..., None] * n_g
+    gn /= np.where(n_zero[:, None], 1.0, n_norm).reshape(groups, -1, 1)
+    scale = 1.0 / bsz
+    return loss, ga * scale, gp * scale, gn.reshape(bsz, k, dd) * scale
 
 
 def info_nce(anchor, positive, negatives, tau: float):
@@ -103,7 +119,7 @@ def info_nce(anchor, positive, negatives, tau: float):
 
     Returns (loss, grad_anchor, grad_positive, [grad_negative...]).
     """
-    if tau <= 0.0:
+    if not math.isfinite(tau) or tau <= 0.0:
         raise ValueError("tau must be > 0")
     anchor = np.asarray(anchor, dtype=np.float64)
     positive = np.asarray(positive, dtype=np.float64)
@@ -113,9 +129,9 @@ def info_nce(anchor, positive, negatives, tau: float):
     for v in [positive] + negatives:
         if v.shape != anchor.shape:
             raise ShapeError(f"dim mismatch: {v.shape} vs {anchor.shape}")
-    cands = np.stack([positive] + negatives)[None, :, :]
-    loss, ga, gc = _info_nce_batch(anchor[None, :], cands, tau)
-    return loss, ga[0], gc[0, 0], [gc[0, 1 + i] for i in range(len(negatives))]
+    loss, ga, gp, gn = _info_nce(anchor[None], positive[None], np.stack(negatives)[None], tau,
+                                 in_batch=False)
+    return loss, ga[0], gp[0], list(gn[0])
 
 
 def _resolve(corpus: Corpus, samples) -> np.ndarray:
@@ -152,58 +168,13 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
             za = out[:bsz]
             zp = out[bsz : 2 * bsz]
             zn = out[2 * bsz :].reshape(bsz, k, -1)
-            if cfg.denominator_mode == "in_sample":
-                cands = np.concatenate([zp[:, None, :], zn], axis=1)
-                loss, ga, gc = _info_nce_batch(za, cands, cfg.temperature)
-                gp = gc[:, 0]
-                gn = gc[:, 1:]
-            else:
-                loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
+            loss, ga, gp, gn = _info_nce(za, zp, zn, cfg.temperature,
+                                         in_batch=cfg.denominator_mode == "in_batch")
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
             adamw_step(opt, head.params, head.backward(cache, upstream))
             trace.append((batch_index, loss))
             batch_index += 1
     return head, trace
-
-
-def _info_nce_in_batch(za, zp, zn, tau):
-    """Mean InfoNCE loss whose denominator holds each anchor's own positive
-    and every negative in the batch.
-
-    za, zp: (B, d); zn: (B, k, d). Returns (loss, grad_za, grad_zp, grad_zn).
-    The B x B*k negative scores are one GEMM and the gradients two more;
-    gradient directions touching a zero-norm vector are zero.
-    """
-    bsz, k, dd = zn.shape
-    a_hat, a_norm, a_zero = normalize_rows(za)
-    p_hat, p_norm, p_zero = normalize_rows(zp)
-    n_hat, n_norm, n_zero = normalize_rows(zn.reshape(bsz * k, dd))
-    if a_zero.any() or p_zero.any() or n_zero.any():
-        warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
-    s_pos = np.einsum("bd,bd->b", a_hat, p_hat)
-    s_neg = a_hat @ n_hat.T  # (B, B*k) cosines; zero rows give 0
-    s = np.concatenate([s_pos[:, None], s_neg], axis=1)
-    logits = s / tau
-    logits -= logits.max(axis=1, keepdims=True)  # stabilization (mandatory at tau=0.07)
-    e = np.exp(logits)
-    p = e / e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(-np.log(p[:, 0])))
-    # d(loss_i)/ds_ij, zeroed on zero-norm anchors, positives and negatives
-    w = p
-    w[:, 0] -= 1.0
-    w /= tau
-    w[a_zero] = 0.0
-    w_pos, w_neg = w[:, 0:1], w[:, 1:]
-    w_pos[p_zero] = 0.0
-    w_neg[:, n_zero] = 0.0
-    # cosine gradients: ds/da = (c_hat - s*a_hat)/|a|, ds/dc = (a_hat - s*c_hat)/|c|
-    ga = w_pos * p_hat + w_neg @ n_hat - (w * s).sum(axis=1, keepdims=True) * a_hat
-    ga /= np.where(a_zero[:, None], 1.0, a_norm)
-    gp = w_pos * (a_hat - s_pos[:, None] * p_hat) / np.where(p_zero[:, None], 1.0, p_norm)
-    gn = w_neg.T @ a_hat - (w_neg * s_neg).sum(axis=0)[:, None] * n_hat
-    gn /= np.where(n_zero[:, None], 1.0, n_norm)
-    scale = 1.0 / bsz
-    return loss, ga * scale, gp * scale, gn.reshape(bsz, k, dd) * scale
 
 
 def refine(head: AdapterHead, corpus: Corpus) -> Corpus:

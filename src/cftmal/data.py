@@ -114,11 +114,20 @@ def replace_file(path, mode="wb", **open_kw):
 
 
 def write_embeddings(path, corpus: Corpus) -> None:
-    """Write a corpus in the EMB1 binary format (float32 payload)."""
+    """Write a corpus in the EMB1 binary format (float32 payload); a value
+    that is not finite as float32, which the reader would reject, raises
+    before anything is written."""
+    with np.errstate(over="ignore"):
+        payload = corpus.vectors.astype("<f4")
+    finite = np.isfinite(payload).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}: record {bad} ({corpus.records[bad].id!r}): "
+                         "non-finite value as float32")
     with replace_file(path) as fh:
         fh.write(EMB1_MAGIC)
         fh.write(struct.pack("<II", len(corpus.records), corpus.dim))
-        fh.write(corpus.vectors.astype("<f4").tobytes())
+        fh.write(payload.tobytes())
         for r in corpus.records:
             fh.write(json.dumps({"id": r.id, "family": r.family}, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
@@ -298,8 +307,9 @@ class SyntheticSpec:
             raise ValueError("dims must be >= 1")
         if not 0.0 <= self.inter_cluster_overlap <= 1.0:
             raise ValueError("inter_cluster_overlap must be in [0, 1]")
-        if self.cluster_spread <= 0.0 or self.attribute_spread <= 0.0:
-            raise ValueError("spreads must be > 0")
+        for name in ("cluster_spread", "attribute_spread"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def _unit(rng, d):

@@ -10,6 +10,7 @@ used by the Hessian-vector products of the second-order MAML path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class KdConfig:
     apply_in: str = "both"  # inner | outer | both
 
     def validate(self) -> None:
-        if self.kd_temperature <= 0.0:
+        if not math.isfinite(self.kd_temperature) or self.kd_temperature <= 0.0:
             raise ValueError("kd_temperature must be > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")

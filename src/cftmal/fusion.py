@@ -19,6 +19,7 @@ gradient without forming any Hessian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,8 @@ def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40, seed
         raise ValueError("no attribute rows to train on")
     if epochs < 1:
         raise ValueError("teacher_epochs must be >= 1")
+    if not math.isfinite(lr) or lr <= 0.0:
+        raise ValueError("teacher_lr must be > 0")
     classes = {f: i for i, f in enumerate(families)}
     for a in attributes:
         if a.family not in classes:

@@ -9,6 +9,7 @@ inner steps with Hessian-vector products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,8 +53,10 @@ class MamlConfig:
         for name in ("inner_steps", "n_support", "n_query"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.inner_lr <= 0.0 or self.meta_lr < 0.0:
-            raise ValueError("learning rates must be positive")
+        if not math.isfinite(self.inner_lr) or self.inner_lr <= 0.0:
+            raise ValueError("inner_lr must be > 0")
+        if not math.isfinite(self.meta_lr) or self.meta_lr < 0.0:
+            raise ValueError("meta_lr must be >= 0")
         if self.order not in ("first", "second"):
             raise ValueError(f"unknown order {self.order!r}")
 

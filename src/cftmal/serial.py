@@ -11,16 +11,23 @@ from .numeric import ACTIVATIONS, DenseLayer
 
 
 def write_layers(path, magic: bytes, layers) -> None:
+    """Write `layers` as float32; a value that is not finite as float32,
+    which `read_layers` would reject, raises before anything is written."""
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
+    with np.errstate(over="ignore"):
+        params = [(layer.weights.astype("<f4"), layer.bias.astype("<f4")) for layer in layers]
+    for i, (w, b) in enumerate(params):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {i}: non-finite weight or bias as float32")
     with replace_file(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(layers)))
-        for layer in layers:
+        for layer, (w, b) in zip(layers, params):
             fh.write(struct.pack("<IIB", layer.out_dim, layer.in_dim,
                                  ACTIVATIONS.index(layer.activation)))
-            fh.write(layer.weights.astype("<f4").tobytes())
-            fh.write(layer.bias.astype("<f4").tobytes())
+            fh.write(w.tobytes())
+            fh.write(b.tobytes())
 
 
 def read_layers(path, magic: bytes):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from cftmal.cft import (
     ADP1_MAGIC,
     AdapterHead,
     CftConfig,
-    _info_nce_batch,
-    _info_nce_in_batch,
+    _info_nce,
     info_nce,
     init_adapter,
     refine,
@@ -24,7 +25,7 @@ from cftmal.numeric import (
     init_dense,
 )
 from cftmal.serial import write_layers
-from cftmal.similarity import ZeroNormWarning
+from cftmal.similarity import ZeroNormWarning, normalize_rows
 
 
 def test_info_nce_uniform_similarities_is_log_k():
@@ -110,32 +111,103 @@ def test_info_nce_zero_norm_warns():
 def test_info_nce_validation():
     with pytest.raises(ValueError):
         info_nce(np.ones(3), np.ones(3), [], tau=0.07)
-    with pytest.raises(ValueError):
-        info_nce(np.ones(3), np.ones(3), [np.ones(3)], tau=0.0)
+    for tau in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            info_nce(np.ones(3), np.ones(3), [np.ones(3)], tau=tau)
     with pytest.raises(ShapeError):
         info_nce(np.ones(3), np.ones(4), [np.ones(3)], tau=0.07)
 
 
 def per_anchor_in_batch(za, zp, zn, tau):
-    """Reference in-batch InfoNCE: anchor i scored against [zp[i], *every negative]."""
+    """Reference in-batch InfoNCE: anchor i scored, as a batch of one, against
+    [zp[i], *every negative]."""
     bsz, k, d = zn.shape
     flat_n = zn.reshape(bsz * k, d)
     ga, gp, gn = np.zeros_like(za), np.zeros_like(zp), np.zeros_like(flat_n)
     total = 0.0
     for i in range(bsz):
-        cands = np.concatenate([zp[i][None, :], flat_n])[None, :, :]
-        loss_i, ga_i, gc_i = _info_nce_batch(za[i][None, :], cands, tau)
+        loss_i, ga_i, gp_i, gn_i = _info_nce(za[i][None], zp[i][None], flat_n[None], tau,
+                                             in_batch=False)
         total += loss_i
         ga[i] = ga_i[0]
-        gp[i] = gc_i[0, 0]
-        gn += gc_i[0, 1:]
+        gp[i] = gp_i[0]
+        gn += gn_i[0]
     return total / bsz, ga / bsz, gp / bsz, gn.reshape(bsz, k, d) / bsz
 
 
-def in_batch_inputs(bsz, k, d, seed=0):
+def frozen_info_nce_in_batch(za, zp, zn, tau):
+    """The in-batch kernel as it stood before the two denominators shared one
+    kernel, kept op for op: `_info_nce(..., in_batch=True)` must match it bit
+    for bit."""
+    bsz, k, dd = zn.shape
+    a_hat, a_norm, a_zero = normalize_rows(za)
+    p_hat, p_norm, p_zero = normalize_rows(zp)
+    n_hat, n_norm, n_zero = normalize_rows(zn.reshape(bsz * k, dd))
+    if a_zero.any() or p_zero.any() or n_zero.any():
+        warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
+    s_pos = np.einsum("bd,bd->b", a_hat, p_hat)
+    s_neg = a_hat @ n_hat.T
+    s = np.concatenate([s_pos[:, None], s_neg], axis=1)
+    logits = s / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-np.log(p[:, 0])))
+    w = p
+    w[:, 0] -= 1.0
+    w /= tau
+    w[a_zero] = 0.0
+    w_pos, w_neg = w[:, 0:1], w[:, 1:]
+    w_pos[p_zero] = 0.0
+    w_neg[:, n_zero] = 0.0
+    ga = w_pos * p_hat + w_neg @ n_hat - (w * s).sum(axis=1, keepdims=True) * a_hat
+    ga /= np.where(a_zero[:, None], 1.0, a_norm)
+    gp = w_pos * (a_hat - s_pos[:, None] * p_hat) / np.where(p_zero[:, None], 1.0, p_norm)
+    gn = w_neg.T @ a_hat - (w_neg * s_neg).sum(axis=0)[:, None] * n_hat
+    gn /= np.where(n_zero[:, None], 1.0, n_norm)
+    scale = 1.0 / bsz
+    return loss, ga * scale, gp * scale, gn.reshape(bsz, k, dd) * scale
+
+
+def frozen_info_nce_batch(anchors, candidates, tau):
+    """The in-sample kernel as it stood before the two denominators shared
+    one kernel, kept op for op: candidate 0 of each anchor is its positive.
+    Returns (loss, grad_anchors, grad_candidates)."""
+    b, c, d = candidates.shape
+    a_hat, a_norm, a_zero = normalize_rows(anchors)
+    c_hat, c_norm, c_zero = normalize_rows(candidates)
+    if a_zero.any() or c_zero.any():
+        warnings.warn("zero-norm vector in info_nce", ZeroNormWarning)
+    s = np.einsum("bd,bcd->bc", a_hat, c_hat)
+    logits = s / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-np.log(p[:, 0])))
+    w = p.copy()
+    w[:, 0] -= 1.0
+    w /= tau * b
+    w = np.where(c_zero, 0.0, w)
+    w = np.where(a_zero[:, None], 0.0, w)
+    grad_a = np.einsum("bc,bcd->bd", w, c_hat) - (w * s).sum(axis=1, keepdims=True) * a_hat
+    grad_a = np.where(a_zero[:, None], 0.0, grad_a / np.where(a_norm == 0.0, 1.0, a_norm))
+    grad_c = w[..., None] * (a_hat[:, None, :] - s[..., None] * c_hat)
+    grad_c = grad_c / np.where(c_norm == 0.0, 1.0, c_norm)
+    return loss, grad_a, grad_c
+
+
+def in_batch_inputs(bsz, k, d, seed=0, zero_rows=False):
+    """Random (za, zp, zn); with `zero_rows`, the last positive, the last
+    negative of anchor 0 and, given two anchors or more, anchor 1 are zero."""
     rng = np.random.default_rng([seed, bsz, k, d])
-    return (rng.standard_normal((bsz, d)), rng.standard_normal((bsz, d)),
-            rng.standard_normal((bsz, k, d)))
+    za, zp, zn = (rng.standard_normal((bsz, d)), rng.standard_normal((bsz, d)),
+                  rng.standard_normal((bsz, k, d)))
+    if zero_rows:
+        zp[-1] = 0.0
+        zn[0, -1] = 0.0
+        if bsz > 1:
+            za[1] = 0.0
+    return za, zp, zn
 
 
 def assert_close_rel(got, want, rtol=1e-12):
@@ -149,16 +221,47 @@ def assert_close_rel(got, want, rtol=1e-12):
 def test_info_nce_in_batch_matches_per_anchor_loop(bsz, k, d):
     za, zp, zn = in_batch_inputs(bsz, k, d)
     for tau in (0.07, 1.0):
-        got = _info_nce_in_batch(za, zp, zn, tau)
+        got = _info_nce(za, zp, zn, tau, in_batch=True)
         want = per_anchor_in_batch(za, zp, zn, tau)
         for g, w in zip(got, want):
             assert_close_rel(g, w)
 
 
-def test_info_nce_in_batch_gradients_match_fd():
+@pytest.mark.parametrize("zero_rows", [False, True], ids=["dense", "zero-rows"])
+@pytest.mark.parametrize("bsz, k, d", [(1, 1, 3), (1, 8, 16), (4, 3, 7), (32, 8, 128)])
+def test_info_nce_in_batch_is_bit_identical_to_the_frozen_kernel(bsz, k, d, zero_rows):
+    za, zp, zn = in_batch_inputs(bsz, k, d, seed=3, zero_rows=zero_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        for tau in (0.07, 1.0):
+            got = _info_nce(za, zp, zn, tau, in_batch=True)
+            want = frozen_info_nce_in_batch(za, zp, zn, tau)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("zero_rows", [False, True], ids=["dense", "zero-rows"])
+@pytest.mark.parametrize("bsz, k, d", [(1, 1, 3), (4, 3, 7), (32, 8, 128)])
+def test_info_nce_in_sample_matches_the_frozen_kernel(bsz, k, d, zero_rows):
+    za, zp, zn = in_batch_inputs(bsz, k, d, seed=4, zero_rows=zero_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        for tau in (0.07, 1.0):
+            got = _info_nce(za, zp, zn, tau, in_batch=False)
+            loss, ga, gc = frozen_info_nce_batch(za, np.concatenate([zp[:, None], zn], axis=1), tau)
+            for g, w in zip(got, (loss, ga, gc[:, 0], gc[:, 1:])):
+                assert_close_rel(g, w)
+
+
+def assert_kernel_gradients_match_fd(in_batch):
     za, zp, zn = in_batch_inputs(3, 2, 4, seed=1)
     tau, h = 0.07, 1e-6
-    _, ga, gp, gn = _info_nce_in_batch(za, zp, zn, tau)
+
+    def loss_at(*z):
+        return _info_nce(*z, tau, in_batch=in_batch)[0]
+
+    _, ga, gp, gn = _info_nce(za, zp, zn, tau, in_batch=in_batch)
     for which, grad in enumerate((ga, gp, gn)):
         fd = np.zeros_like(grad)
         for ix in np.ndindex(grad.shape):
@@ -166,8 +269,16 @@ def test_info_nce_in_batch_gradients_match_fd():
             down = [x.copy() for x in (za, zp, zn)]
             up[which][ix] += h
             down[which][ix] -= h
-            fd[ix] = (_info_nce_in_batch(*up, tau)[0] - _info_nce_in_batch(*down, tau)[0]) / (2 * h)
+            fd[ix] = (loss_at(*up) - loss_at(*down)) / (2 * h)
         assert np.abs(fd - grad).max() < 1e-4 * max(1.0, np.abs(fd).max())
+
+
+def test_info_nce_in_batch_gradients_match_fd():
+    assert_kernel_gradients_match_fd(in_batch=True)
+
+
+def test_info_nce_in_sample_gradients_match_fd():
+    assert_kernel_gradients_match_fd(in_batch=False)
 
 
 def test_info_nce_in_batch_zero_norm_rows():
@@ -176,7 +287,7 @@ def test_info_nce_in_batch_zero_norm_rows():
     zp[2] = 0.0
     zn[0, 1] = 0.0
     with pytest.warns(ZeroNormWarning):
-        loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, 0.07)
+        loss, ga, gp, gn = _info_nce(za, zp, zn, 0.07, in_batch=True)
     assert np.isfinite(loss)
     assert all(np.isfinite(g).all() for g in (ga, gp, gn))
     assert not ga[1].any() and not gp[2].any() and not gn[0, 1].any()
@@ -247,12 +358,8 @@ def reference_train_adapter(samples, corpus, cfg):
             flat = corpus.vectors[np.concatenate([batch[:, 0], batch[:, 1], batch[:, 2:].ravel()])]
             out, caches = chain_forward(layers, flat)
             za, zp, zn = out[:bsz], out[bsz : 2 * bsz], out[2 * bsz :].reshape(bsz, k, -1)
-            if cfg.denominator_mode == "in_sample":
-                cands = np.concatenate([zp[:, None, :], zn], axis=1)
-                loss, ga, gc = _info_nce_batch(za, cands, cfg.temperature)
-                gp, gn = gc[:, 0], gc[:, 1:]
-            else:
-                loss, ga, gp, gn = _info_nce_in_batch(za, zp, zn, cfg.temperature)
+            loss, ga, gp, gn = _info_nce(za, zp, zn, cfg.temperature,
+                                         in_batch=cfg.denominator_mode == "in_batch")
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
             grads, _ = chain_backward(layers, caches, upstream, input_grad=False)
             adamw_step(opt, params, grads)
@@ -276,8 +383,14 @@ def test_train_adapter_validation():
     corpus, samples = tiny_setup()
     with pytest.raises(ValueError):
         train_adapter([], corpus, CftConfig())
-    with pytest.raises(ValueError):
-        train_adapter(samples, corpus, CftConfig(temperature=0.0))
+    for field, value, message in [("temperature", 0.0, "temperature must be > 0"),
+                                  ("temperature", np.nan, "temperature must be > 0"),
+                                  ("learning_rate", -1.0, "learning_rate must be > 0"),
+                                  ("learning_rate", np.inf, "learning_rate must be > 0"),
+                                  ("weight_decay", np.nan, "weight_decay must be >= 0"),
+                                  ("weight_decay", -0.5, "weight_decay must be >= 0")]:
+        with pytest.raises(ValueError, match=message):
+            train_adapter(samples, corpus, CftConfig(**{field: value}))
     bad = samples[:1]
     bad[0].negatives = ["missing-record"] + bad[0].negatives[1:]
     with pytest.raises(ValueError, match="unresolvable"):

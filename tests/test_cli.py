@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -354,13 +355,29 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
      "samples.jsonl"),
     ("train-cft", ["embeddings", "samples"], ["--hidden-dim", "0"], "hidden_dim", "adapter.adp1"),
     ("train-cft", ["embeddings", "samples"], ["--output-dim", "0"], "output_dim", "adapter.adp1"),
+    # rates and temperatures must be finite and > 0 (a weight decay or meta rate >= 0)
+    ("train-cft", ["embeddings", "samples"], ["--lr", "nan"], "learning_rate", "adapter.adp1"),
+    ("train-cft", ["embeddings", "samples"], ["--lr", "-1"], "learning_rate", "adapter.adp1"),
+    ("train-cft", ["embeddings", "samples"], ["--tau", "nan"], "temperature", "adapter.adp1"),
+    ("train-cft", ["embeddings", "samples"], ["--weight-decay", "nan"], "weight_decay",
+     "adapter.adp1"),
+    ("teacher", ["attributes"], ["--teacher-lr", "nan"], "teacher_lr", "teacher.tch1"),
+    ("teacher", ["attributes"], ["--teacher-lr", "-1"], "teacher_lr", "teacher.tch1"),
+    ("maml", ["embeddings", "attributes"], ["--inner-lr", "nan"], "inner_lr", "student.fus1"),
+    ("maml", ["embeddings", "attributes"], ["--meta-lr", "nan"], "meta_lr", "student.fus1"),
+    ("maml", ["embeddings", "attributes", "teacher"], ["--kd-temperature", "nan"],
+     "kd_temperature", "student.fus1"),
+    ("synth", [], ["--cluster-spread", "nan"], "cluster_spread", "embeddings.emb1"),
 ], ids=["train-cft", "teacher", "maml", "eval", "ablate", "maml-n-query", "maml-n-support",
-        "eval-support-sizes", "samples-per-anchor", "train-cft-hidden-dim", "train-cft-output-dim"])
+        "eval-support-sizes", "samples-per-anchor", "train-cft-hidden-dim", "train-cft-output-dim",
+        "train-cft-lr-nan", "train-cft-lr-negative", "train-cft-tau-nan",
+        "train-cft-weight-decay-nan", "teacher-lr-nan", "teacher-lr-negative", "maml-inner-lr-nan",
+        "maml-meta-lr-nan", "maml-kd-temperature-nan", "synth-cluster-spread-nan"])
 def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
                                                 stage, inputs, count, option, output):
     files = {"embeddings": "embeddings.emb1", "samples": "samples.jsonl",
              "attributes": "attributes.csv", "student": "student.fus1",
-             "negatives": "negatives.jsonl"}
+             "negatives": "negatives.jsonl", "teacher": "teacher.tch1"}
     argv = [stage, "--out", str(tmp_path), *count]
     for flag in inputs:
         argv += [f"--{flag}", str(mismatched / "a" / files[flag])]
@@ -370,6 +387,34 @@ def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"cftmal {stage}: error: {option} must" in err and "Traceback" not in err
     assert (tmp_path / output).read_bytes() == b"earlier run"
+
+
+@pytest.mark.parametrize("case", ["train-cft-lr-1e200", "ingest-1e39"])
+def test_values_past_float32_exit_1_keeping_the_old_file(mismatched, tmp_path, capsys, case):
+    """A value the float32 writers cannot store fails the stage and leaves the
+    earlier artifact whole, where the reader would have rejected the new one."""
+    a = mismatched / "a"
+    if case == "train-cft-lr-1e200":
+        argv = ["train-cft", "--embeddings", str(a / "embeddings.emb1"),
+                "--samples", str(a / "samples.jsonl"), "--lr", "1e200",
+                "--hidden-dim", "8", "--output-dim", "8"]
+        output, detail = "adapter.adp1", ": non-finite weight or bias as float32"
+    else:
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("id,family,x0,x1\nr0,f0,1.0,2.0\nr1,f1,1e39,0.5\n")
+        argv = ["ingest", "--embeddings", str(csv_path)]
+        output, detail = "embeddings.emb1", ": record 1 ('r1'): non-finite value as float32"
+    path = tmp_path / output
+    path.write_bytes(b"earlier run")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing AdamW steps
+        assert run(*argv, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"cftmal {argv[0]}: error: {path}" in err and detail in err
+    assert "Traceback" not in err
+    assert path.read_bytes() == b"earlier run"
+    assert not (tmp_path / f"{output}.part").exists()
 
 
 def test_mine_rejects_embeddings_without_records(tmp_path, capsys):

@@ -217,8 +217,10 @@ def test_generate_synthetic_validation():
         generate_synthetic(SyntheticSpec(n_families=0))
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(inter_cluster_overlap=1.5))
-    with pytest.raises(ValueError):
-        generate_synthetic(SyntheticSpec(cluster_spread=0.0))
+    for name in ("cluster_spread", "attribute_spread"):
+        for value in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                generate_synthetic(SyntheticSpec(**{name: value}))
 
 
 def test_split_meta_stratified_and_disjoint():
@@ -290,6 +292,22 @@ def test_failed_csv_write_leaves_previous_file(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ["name", "n"], [["x", 0]])
     _check_failed_write_keeps(path, lambda: write_csv(path, ["name", "n"], rows()), RuntimeError)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, -1e39])
+def test_emb1_writer_refuses_values_not_finite_as_float32(tmp_path, value):
+    corpus = small_corpus(np.random.default_rng(1))
+    path = tmp_path / "c.emb1"
+    write_embeddings(path, corpus)
+    records = list(corpus.records)
+    vector = records[2].vector.copy()
+    vector[0] = value  # -1e39 is finite as float64, -inf as float32
+    records[2] = DescriptionRecord(records[2].id, records[2].family, vector)
+    bad = Corpus(records, corpus.dim)
+    _check_failed_write_keeps(path, lambda: write_embeddings(path, bad), ValueError)
+    with pytest.raises(ValueError, match=f"c.emb1: record 2 \\({records[2].id!r}\\): "
+                                         "non-finite value as float32"):
+        write_embeddings(path, bad)
 
 
 def test_rewrite_leaves_listing_unchanged(tmp_path):

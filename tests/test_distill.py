@@ -76,8 +76,9 @@ def test_kd_parts_shape_check():
 
 
 def test_kd_config_validation():
-    with pytest.raises(ValueError):
-        KdConfig(kd_temperature=0.0).validate()
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kd_temperature must be > 0"):
+            KdConfig(kd_temperature=value).validate()
     with pytest.raises(ValueError):
         KdConfig(alpha=1.5).validate()
     with pytest.raises(ValueError):

@@ -166,6 +166,13 @@ def test_teacher_train_rejects_row_outside_families():
         teacher_train(rows, ["c0", "c1"], epochs=1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+def test_teacher_train_rejects_a_rate_that_is_not_finite_and_positive(lr):
+    rows = [AttributeRecord("a", "c0", np.ones(4)), AttributeRecord("b", "c1", np.ones(4))]
+    with pytest.raises(ValueError, match="teacher_lr must be > 0"):
+        teacher_train(rows, ["c0", "c1"], lr=lr, epochs=1)
+
+
 def test_teacher_save_load(tmp_path):
     teacher = init_teacher(attr_dim=5, n_classes=4, seed=12)
     path = tmp_path / "t.tch1"

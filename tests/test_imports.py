@@ -180,3 +180,30 @@ def test_files_are_written_through_replace_file_only():
                       and node.func.id == "open" and id(node) not in allowed
                       and _may_write(node)]
     assert offenders == []
+
+
+def _exp_callers(tree):
+    """The innermost function around each `np.exp` call, "<module>" for one
+    outside every function."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    callers = []
+    for node in ast.walk(tree):
+        fn = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(fn, ast.Attribute) and fn.attr == "exp"
+                and isinstance(fn.value, ast.Name) and fn.value.id in ("np", "numpy")):
+            around = [s for s in spans if s[0] <= node.lineno <= s[1]]
+            callers.append(max(around)[2] if around else "<module>")
+    return callers
+
+
+def test_exp_is_called_in_numeric_and_one_cft_function_only():
+    """`numeric` holds the softmax kernels and `cft._info_nce` the one InfoNCE
+    kernel for both denominators, so a second contrastive softmax cannot grow
+    back beside it."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "numeric":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            callers.update(f"{path.stem}.{name}" for name in _exp_callers(tree))
+    assert callers == {"cft._info_nce"}

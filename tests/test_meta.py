@@ -363,6 +363,12 @@ def test_maml_config_validation():
     for name in ("n_support", "n_query"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             MamlConfig(**{name: 0}).validate()
+    for name, bound, values in [("inner_lr", "> 0", (-1.0, np.nan, np.inf)),
+                                ("meta_lr", ">= 0", (-1.0, np.nan, np.inf))]:
+        for value in values:
+            with pytest.raises(ValueError, match=f"{name} must be {bound}"):
+                MamlConfig(**{name: value}).validate()
+    MamlConfig(meta_lr=0.0).validate()
 
 
 def test_layers_stay_views_of_the_flat_parameter_vector(tmp_path):

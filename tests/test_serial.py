@@ -28,11 +28,15 @@ def test_read_layers_rejects_non_finite_parameters(tmp_path, where, value):
     layers = [DenseLayer(np.ones((3, 2)), np.zeros(3), "relu"),
               DenseLayer(np.ones((2, 3)), np.zeros(2), "identity")]
     if where == "weight":
-        layers[1].weights[0, 2] = value
+        layers[1].weights[0, 2] = 7.0
     else:
-        layers[1].bias[1] = value
+        layers[1].bias[1] = 7.0
     path = tmp_path / "m.adp1"
     write_layers(path, b"ADP1", layers)
+    # the writer refuses non-finite values, so patch the one 7.0 in the file
+    raw = path.read_bytes()
+    assert raw.count(np.float32(7.0).tobytes()) == 1
+    path.write_bytes(raw.replace(np.float32(7.0).tobytes(), np.float32(value).tobytes()))
     with pytest.raises(FormatError, match="m.adp1: layer 1: non-finite weight or bias"):
         read_layers(path, b"ADP1")
 
@@ -55,6 +59,20 @@ def test_failed_write_leaves_previous_checkpoint(tmp_path):
     before = path.read_bytes()
     layers[1].activation = "not-an-activation"  # fails after layer 0 is written
     with pytest.raises(ValueError):
+        write_layers(path, b"ADP1", layers)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.adp1"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_write_layers_refuses_values_not_finite_as_float32(tmp_path, value):
+    layers = [DenseLayer(np.ones((3, 2)), np.zeros(3), "relu"),
+              DenseLayer(np.ones((2, 3)), np.zeros(2), "identity")]
+    path = tmp_path / "m.adp1"
+    write_layers(path, b"ADP1", layers)
+    before = path.read_bytes()
+    layers[1].bias[1] = value  # 1e39 is finite as float64, inf as float32
+    with pytest.raises(ValueError, match="m.adp1: layer 1: non-finite weight or bias as float32"):
         write_layers(path, b"ADP1", layers)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.adp1"]
