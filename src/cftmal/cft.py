@@ -40,7 +40,8 @@ class AdapterHead(FusionModel):
 def init_adapter(in_dim: int, hidden_dim: int, out_dim: int, seed: int) -> AdapterHead:
     rng = np.random.default_rng([seed, 0x41445031])
     hidden = init_dense(in_dim, hidden_dim, "relu", rng)
-    return AdapterHead([hidden], [], init_dense(hidden_dim, out_dim, "identity", rng))
+    out = init_dense(hidden_dim, out_dim, "identity", rng)
+    return AdapterHead([hidden], [], out).in_param_dtype()
 
 
 @dataclass
@@ -180,13 +181,14 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
 def refine(head: AdapterHead, corpus: Corpus) -> Corpus:
     """Forward every corpus vector through the adapter head.
 
-    Outputs are L2-normalized: the contrastive objective is scale-invariant,
-    so the raw output scale is arbitrary and unit norm keeps refined corpora
-    comparable with raw ones for any downstream consumer.
+    Outputs are L2-normalized, in float64 like every corpus: the contrastive
+    objective is scale-invariant, so the raw output scale is arbitrary and
+    unit norm keeps refined corpora comparable with raw ones for any
+    downstream consumer.
     """
     if corpus.dim != head.in_dim:
         raise ShapeError(f"corpus dim {corpus.dim} != adapter in dim {head.in_dim}")
-    out = normalize_rows(head.forward(corpus.vectors))[0]
+    out = normalize_rows(head.forward(corpus.vectors).astype(np.float64))[0]
     records = [
         DescriptionRecord(r.id, r.family, out[i])
         for i, r in enumerate(corpus.records)

@@ -241,7 +241,7 @@ def _cmd_eval(v, mamlcfg, kd, path):
             f"best {best['mean_accuracy']:.3f} at {best['support_size']}-shot -> {path}")
 
 
-def _cmd_ablate(v, path):
+def _cmd_ablate(v, path, seeds_path):
     settings = metrics.benchmark_settings()
     settings.maml.meta_iterations = v["meta_iterations"]
     settings.cft.epochs = v["epochs"]
@@ -255,8 +255,9 @@ def _cmd_ablate(v, path):
 
     report = metrics.run_ablation(bench, settings, seeds=range(v["seed"], v["seed"] + v["seeds"]))
     metrics.ablation_to_csv(path, report)
+    metrics.ablation_seeds_to_csv(seeds_path, report)
     means = ", ".join(f"{r['method']}={r['mean_accuracy']:.3f}" for r in report.rows)
-    return f"{v['seeds']} seeds: {means} -> {path}"
+    return f"{v['seeds']} seeds: {means} -> {path}, {seeds_path}"
 
 
 def _cmd_histogram(v, path):
@@ -370,7 +371,7 @@ STAGES = {
                  "records": data.SyntheticSpec.records_per_family,
                  "meta_iterations": _BENCH.maml.meta_iterations,
                  "teacher_epochs": _BENCH.teacher_epochs},
-        outputs=("ablation.csv",)),
+        outputs=("ablation.csv", "ablation_seeds.csv")),
     "histogram": Stage(
         _cmd_histogram, seed=1,
         flags=("embeddings", "family", "bins"),

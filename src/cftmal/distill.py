@@ -33,6 +33,14 @@ class KdConfig:
             raise ValueError(f"unknown apply_in {self.apply_in!r}")
 
 
+def _floored_log(q):
+    """log(q) with q floored at the smallest normal of its dtype. A float64
+    literal like 1e-300 rounds to 0 in float32, and a probability that
+    underflows to 0 would give 0 * log(0) = NaN for the teacher's and an
+    infinite KL for the student's (logits about 175 apart at tau 2)."""
+    return np.log(np.maximum(q, np.finfo(q.dtype).tiny))
+
+
 def kd_parts(student_logits, teacher_logits, tau: float):
     """Mean KL(teacher_soft || student_soft) and the tau^2-scaled gradient
     of that term w.r.t. the student logits."""
@@ -43,8 +51,7 @@ def kd_parts(student_logits, teacher_logits, tau: float):
     n = student_logits.shape[0]
     qs = softmax(student_logits / tau)
     qt = softmax(teacher_logits / tau)
-    # KL with the softmax floor; qs > 0 always after stabilization
-    kl = float(np.mean(np.sum(qt * (np.log(np.maximum(qt, 1e-300)) - np.log(qs)), axis=1)))
+    kl = float(np.mean(np.sum(qt * (_floored_log(qt) - _floored_log(qs)), axis=1)))
     grad = tau * (qs - qt) / n  # includes the tau^2 scale: tau^2 * (1/tau)
     return kl, grad
 

@@ -11,6 +11,13 @@ and a classifier alone as its head. The contrastive adapter (ADP1,
 layer as its head. Every pass loops over the branches, so all three share
 one forward, backward, checkpoint and parameter binding.
 
+The models the pipeline builds (`init_fusion`, `init_teacher`,
+`cft.init_adapter`) and every `load` hold their parameters in
+`PARAM_DTYPE`, float32, so their passes compute in float32; the weights
+are drawn in float64 and cast, and the float32 checkpoints load exactly.
+A float64 twin, `model.bound_to(model.params.astype(np.float64))`,
+computes in float64.
+
 The Hessian-vector product is computed by a forward-over-reverse sweep:
 a parameter tangent is carried through the forward pass and then through
 the explicit backward pass, yielding the directional derivative of the
@@ -44,6 +51,7 @@ from .serial import read_layers, write_layers
 
 FUS1_MAGIC = b"FUS1"
 TCH1_MAGIC = b"TCH1"
+PARAM_DTYPE = np.float32  # the parameters of every model the pipeline builds or loads
 
 
 def batch_arrays(batch):
@@ -129,6 +137,11 @@ class FusionModel:
     def clone(self) -> "FusionModel":
         return self.bound_to(self.params.copy())
 
+    def in_param_dtype(self) -> "FusionModel":
+        """This model with its parameters in `PARAM_DTYPE` (itself if they are)."""
+        return self if self.params.dtype == PARAM_DTYPE else self.bound_to(
+            self.params.astype(PARAM_DTYPE))
+
     def forward_cache(self, attrs, embs=None):
         outs, caches = [], []
         for branch, x in zip(self.branches, (attrs, embs)):
@@ -194,9 +207,10 @@ class FusionModel:
                 f"{cls.MAGIC.decode()} checkpoint, got {len(layers)}"
             )
         try:
-            return cls(layers[:n_attr], layers[n_attr : n_attr + n_emb], *layers[n_attr + n_emb :])
+            model = cls(layers[:n_attr], layers[n_attr : n_attr + n_emb], *layers[n_attr + n_emb :])
         except ShapeError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        return model.in_param_dtype()
 
 
 class TeacherModel(FusionModel):
@@ -219,7 +233,7 @@ def init_fusion(attr_dim: int, emb_dim: int, n_classes: int, seed: int) -> Fusio
     emb_branch = [init_dense(emb_dim, BRANCH_WIDTH, "identity", rng)]
     fusion = init_dense(2 * BRANCH_WIDTH, 2 * BRANCH_WIDTH, "relu", rng)
     classifier = init_dense(2 * BRANCH_WIDTH, n_classes, "identity", rng)
-    return FusionModel(attr_branch, emb_branch, fusion, classifier)
+    return FusionModel(attr_branch, emb_branch, fusion, classifier).in_param_dtype()
 
 
 def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
@@ -229,7 +243,7 @@ def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
         init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
     ]
     classifier = init_dense(BRANCH_WIDTH, n_classes, "identity", rng)
-    return TeacherModel(attr_branch, [], classifier)
+    return TeacherModel(attr_branch, [], classifier).in_param_dtype()
 
 
 TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01

@@ -286,6 +286,19 @@ def ablation_to_csv(path, report: AblationReport) -> None:
     ))
 
 
+def ablation_seeds_to_csv(path, report: AblationReport) -> None:
+    """One row per seed: the seed, each method's accuracy and
+    `similarity_cft` minus `random_cft`, the per-seed margin that
+    `ablation.csv`'s means average away."""
+    methods = [r["method"] for r in report.rows]
+    accs = {r["method"]: r["accuracies"] for r in report.rows}
+    write_csv(path, ["seed", *methods, "similarity_minus_random"], (
+        [seed, *(repr(accs[m][i]) for m in methods),
+         repr(accs["similarity_cft"][i] - accs["random_cft"][i])]
+        for i, seed in enumerate(report.rows[0]["seeds"])
+    ))
+
+
 # --- bundled synthetic benchmark -------------------------------------------
 
 

@@ -1,6 +1,11 @@
 """Minimal dense numerical substrate: layers, losses, AdamW.
 
-Everything operates on plain numpy arrays in float64. Gradients are
+Everything operates on plain numpy arrays of float32 or float64. Each
+layer computes in its own weights' dtype: its input is cast to it, and the
+gradient buffers of a layer stack are allocated in it. The losses and AdamW
+follow the dtype of the arrays they are given. `DenseLayer` keeps float32 or
+float64 weights as given (any other dtype becomes float64), and `init_dense`
+draws float64, so a hand-built stack computes in float64. Gradients are
 written out explicitly per operation so each one can be checked against
 central finite differences in isolation. A model keeps its parameters in one
 flat vector laid out [W0, b0, W1, b1, ...], a layout only `param_views` knows.
@@ -19,8 +24,15 @@ class ShapeError(ValueError):
     """Raised when operand shapes are inconsistent."""
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _as_float(a) -> np.ndarray:
+    """`a` as an array of float32 or float64, kept as given; any other dtype as float64."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
+def _as_matrix(x, name: str, dtype=None) -> np.ndarray:
+    """x as a 2-D array of `dtype`, or of its own float dtype (`_as_float`) if None."""
+    x = _as_float(x) if dtype is None else np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {x.shape}")
     return x
@@ -35,8 +47,8 @@ class DenseLayer:
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = _as_float(self.weights)
+        self.bias = np.asarray(self.bias, dtype=self.weights.dtype)
         if self.weights.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
@@ -64,7 +76,7 @@ def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Genera
 
 
 def _preactivation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    x = _as_matrix(x, "x")
+    x = _as_matrix(x, "x", layer.weights.dtype)
     if x.shape[1] != layer.in_dim:
         raise ShapeError(f"input dim {x.shape[1]} != layer in dim {layer.in_dim}")
     return x @ layer.weights.T + layer.bias
@@ -88,8 +100,8 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
     into `out`'s arrays if given. `z` may carry the cached pre-activation;
     with input_grad False the input gradient is None.
     """
-    x = _as_matrix(x, "x")
-    upstream = _as_matrix(upstream, "upstream")
+    x = _as_matrix(x, "x", layer.weights.dtype)
+    upstream = _as_matrix(upstream, "upstream", layer.weights.dtype)
     if upstream.shape != (x.shape[0], layer.out_dim):
         raise ShapeError(
             f"upstream shape {upstream.shape} != ({x.shape[0]}, {layer.out_dim})"
@@ -164,8 +176,9 @@ def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None
 def chain_forward(layers, x):
     """Run a layer stack, returning (output, caches) for chain_backward."""
     caches = []
-    a = _as_matrix(x, "x")
+    a = x
     for layer in layers:
+        a = _as_matrix(a, "x", layer.weights.dtype)  # cached as the layer reads it
         z = _preactivation(layer, a)
         caches.append((a, z))
         a = _activate(z, layer.activation)
@@ -179,6 +192,11 @@ def chain_params(layers):
 
 def n_params(layers) -> int:
     return sum(a.size for a in chain_params(layers))
+
+
+def _grad_buffer(layers) -> np.ndarray:
+    """An uninitialised flat vector for a layer stack's gradients, in its parameters' dtype."""
+    return np.empty(n_params(layers), dtype=np.result_type(*chain_params(layers)))
 
 
 def param_views(layers, flat):
@@ -210,7 +228,7 @@ def chain_backward(layers, caches, upstream, input_grad: bool = True, out=None):
     """Gradients of a layer stack: (flat [gW0, gb0, gW1, gb1, ...] vector,
     written into `out` if given, grad_input). With input_grad False the
     first layer's input gradient is skipped and grad_input is None."""
-    grads = np.empty(n_params(layers)) if out is None else out
+    grads = _grad_buffer(layers) if out is None else out
     views = param_views(layers, grads)
     g = upstream
     for i in range(len(layers) - 1, -1, -1):
@@ -281,6 +299,7 @@ def chain_forward_jvp(layers, dparams, x, dx=None):
     caches = []
     a, da = x, dx
     for layer, dW, db in zip(layers, views[::2], views[1::2]):
+        a = _as_matrix(a, "x", layer.weights.dtype)
         a_next, da_next, z = layer_forward_jvp(layer, dW, db, a, da)
         caches.append((a, da, z))
         a, da = a_next, da_next
@@ -298,7 +317,7 @@ def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad:
     skipped and come back as None.
     """
     dviews = param_views(layers, dparams)
-    dgrads = np.empty(n_params(layers)) if out is None else out
+    dgrads = _grad_buffer(layers) if out is None else out
     views = param_views(layers, dgrads)
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):

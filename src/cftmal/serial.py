@@ -31,6 +31,7 @@ def write_layers(path, magic: bytes, layers) -> None:
 
 
 def read_layers(path, magic: bytes):
+    """The layers of a checkpoint, as float32 like the file holds them."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8:
@@ -56,7 +57,7 @@ def read_layers(path, magic: bytes):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise FormatError(f"{path}: layer {i}: non-finite weight or bias")
         off = end
-        layers.append(DenseLayer(w.astype(np.float64), b.astype(np.float64), ACTIVATIONS[act]))
+        layers.append(DenseLayer(w.astype(np.float32), b.astype(np.float32), ACTIVATIONS[act]))
     if off != len(raw):
         raise FormatError(
             f"{path}: trailing bytes: layers end at byte {off}, file is {len(raw)} bytes"

@@ -14,6 +14,7 @@ from cftmal.cft import (
     train_adapter,
 )
 from cftmal.data import Corpus, DescriptionRecord, FormatError
+from cftmal.fusion import PARAM_DTYPE
 from cftmal.mining import MiningConfig, build_samples, mine_negatives, select_positives
 from cftmal.numeric import (
     ShapeError,
@@ -23,6 +24,7 @@ from cftmal.numeric import (
     chain_backward,
     chain_forward,
     init_dense,
+    rebind_params,
 )
 from cftmal.serial import write_layers
 from cftmal.similarity import ZeroNormWarning, normalize_rows
@@ -344,7 +346,7 @@ def reference_train_adapter(samples, corpus, cfg):
     rng = np.random.default_rng([cfg.seed, 0x41445031])
     layers = [init_dense(corpus.dim, cfg.hidden_dim, "relu", rng),
               init_dense(cfg.hidden_dim, cfg.output_dim, "identity", rng)]
-    params = bind_params(layers)
+    params = rebind_params(layers, bind_params(layers).astype(PARAM_DTYPE))
     rows = np.array([[corpus.rows[rid] for rid in (s.anchor, s.positive, *s.negatives)]
                      for s in samples])
     n, k = rows.shape[0], rows.shape[1] - 2
@@ -422,12 +424,9 @@ def test_adapter_save_load_roundtrip(tmp_path):
     path = tmp_path / "head.adp1"
     head.save(path)
     back = AdapterHead.load(path)
-    # checkpoint stores float32, so compare through the same quantization
-    quant = head.clone()
-    for l in quant.layers:
-        l.weights = l.weights.astype(np.float32).astype(np.float64)
-        l.bias = l.bias.astype(np.float32).astype(np.float64)
-    np.testing.assert_array_equal(back.forward(x), quant.forward(x))
+    assert back.params.dtype == np.float32
+    assert back.params.tobytes() == head.params.tobytes()  # float32 is stored exactly
+    np.testing.assert_array_equal(back.forward(x), head.forward(x))
 
 
 @pytest.mark.parametrize("n_layers", [1, 3])
@@ -449,3 +448,17 @@ def test_adapter_load_rejects_wrong_magic(tmp_path):
     teacher.save(path)
     with pytest.raises(FormatError, match="magic"):
         AdapterHead.load(path)
+
+
+@pytest.mark.parametrize("in_batch", [False, True])
+def test_info_nce_follows_the_dtype_of_its_arrays(in_batch):
+    rng = np.random.default_rng(30)
+    za, zp = (rng.standard_normal((4, 6)).astype(np.float32) for _ in range(2))
+    zn = rng.standard_normal((4, 3, 6)).astype(np.float32)
+    loss, *grads = _info_nce(za, zp, zn, 0.07, in_batch)
+    assert [g.dtype for g in grads] == [np.float32] * 3
+    want_loss, *want = _info_nce(za.astype(np.float64), zp.astype(np.float64),
+                                 zn.astype(np.float64), 0.07, in_batch)
+    assert loss == pytest.approx(want_loss, rel=1e-5)
+    for g, w in zip(grads, want):
+        np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5)

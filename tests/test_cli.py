@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import warnings
@@ -192,6 +193,26 @@ def test_ablate_rejects_unfillable_episode_at_split(tmp_path, capsys):
     assert code == 1
     assert ("cftmal ablate: error: stage 'split' failed: meta-test pool: "
             "family 'family00' has 10 records, episode needs 30") in capsys.readouterr().err
+
+
+def test_ablate_writes_the_per_seed_table(tmp_path, capsys):
+    assert run("ablate", "--out", str(tmp_path), "--seeds", "2", "--families", "3",
+               "--records", "120", "--meta-iterations", "2", "--episodes", "2",
+               "--teacher-epochs", "2", "--epochs", "1") == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        f"-> {tmp_path / 'ablation.csv'}, {tmp_path / 'ablation_seeds.csv'}")
+    with open(tmp_path / "ablation.csv", newline="") as fh:
+        means = list(csv.reader(fh))[1:]
+    with open(tmp_path / "ablation_seeds.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["seed", "attributes_only", "pretrained_embeddings", "random_cft",
+                      "similarity_cft", "similarity_minus_random"]
+    assert [m[0] for m in means] == header[1:5]
+    assert [r[0] for r in rows] == ["0", "1"]
+    for col, m in enumerate(means, start=1):  # the aggregate is the mean of the seeds
+        assert float(m[1]) == float(np.mean([float(r[col]) for r in rows]))
+    for r in rows:
+        assert float(r[5]) == float(r[4]) - float(r[3])
 
 
 def test_histogram_requires_family(tmp_path, capsys):

@@ -133,3 +133,21 @@ def test_distilled_training_teacher_changes_trajectory():
     assert any(
         not np.array_equal(pa, pb) for pa, pb in zip(a.get_params(), b.get_params())
     )
+
+
+def test_kd_parts_is_finite_when_a_float32_teacher_probability_underflows():
+    # at tau 2 the teacher's other class gets exp(-150), which is 0 in float32
+    teacher = np.array([[0.0, 300.0], [300.0, 0.0]], dtype=np.float32)
+    student = np.array([[0.5, 1.0], [1.0, -0.5]], dtype=np.float32)
+    kl, grad = kd_parts(student, teacher, 2.0)
+    assert np.isfinite(kl) and np.isfinite(grad).all() and grad.dtype == np.float32
+    # a one-hot teacher leaves -log of the student's probability of its class
+    log_qs = student / 2.0 - np.log(np.exp(student / 2.0).sum(axis=1, keepdims=True))
+    assert kl == pytest.approx(-np.mean(log_qs[[0, 1], [1, 0]]), rel=1e-6)
+
+
+def test_kd_parts_is_finite_when_a_float32_student_probability_underflows():
+    student = np.array([[0.0, 400.0]], dtype=np.float32)
+    teacher = np.array([[0.0, 1.0]], dtype=np.float32)
+    kl, grad = kd_parts(student, teacher, 2.0)
+    assert np.isfinite(kl) and kl > 0.0 and np.isfinite(grad).all()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cftmal.cft import init_adapter
 from cftmal.data import AttributeRecord, Corpus, DescriptionRecord
 from cftmal.fusion import (
+    PARAM_DTYPE,
     FusionModel,
     TeacherModel,
     batch_arrays,
@@ -11,7 +13,7 @@ from cftmal.fusion import (
     teacher_train,
 )
 from cftmal.meta import build_pool
-from cftmal.numeric import DenseLayer, ShapeError, param_views
+from cftmal.numeric import DenseLayer, ShapeError, adamw_init, adamw_step, param_views
 
 
 def tiny_fusion(rng):
@@ -116,11 +118,9 @@ def test_fusion_save_load(tmp_path):
     path = tmp_path / "m.fus1"
     model.save(path)
     back = FusionModel.load(path)
-    ref = model.clone()
-    for layer in ref.attr_branch + ref.emb_branch + ref.head:
-        layer.weights = layer.weights.astype(np.float32).astype(np.float64)
-        layer.bias = layer.bias.astype(np.float32).astype(np.float64)
-    np.testing.assert_array_equal(back.forward(attrs, embs), ref.forward(attrs, embs))
+    assert back.params.dtype == np.float32
+    assert back.params.tobytes() == model.params.tobytes()  # float32 is stored exactly
+    np.testing.assert_array_equal(back.forward(attrs, embs), model.forward(attrs, embs))
 
 
 def test_teacher_ignores_embeddings():
@@ -134,6 +134,7 @@ def test_teacher_ignores_embeddings():
 
 def test_teacher_grads_match_fd():
     teacher = init_teacher(attr_dim=3, n_classes=3, seed=8)
+    teacher = teacher.bound_to(teacher.params.astype(np.float64))  # FD needs float64
     rng = np.random.default_rng(9)
     attrs = rng.standard_normal((6, 3))
     labels = rng.integers(0, 3, 6)
@@ -180,11 +181,9 @@ def test_teacher_save_load(tmp_path):
     back = TeacherModel.load(path)
     rng = np.random.default_rng(13)
     attrs = rng.standard_normal((4, 5))
-    ref = teacher.clone()
-    for layer in ref.layers:
-        layer.weights = layer.weights.astype(np.float32).astype(np.float64)
-        layer.bias = layer.bias.astype(np.float32).astype(np.float64)
-    np.testing.assert_array_equal(back.forward(attrs), ref.forward(attrs))
+    assert back.params.dtype == np.float32
+    assert back.params.tobytes() == teacher.params.tobytes()
+    np.testing.assert_array_equal(back.forward(attrs), teacher.forward(attrs))
 
 
 def test_batch_arrays():
@@ -212,3 +211,44 @@ def test_fusion_bound_to_views_the_vector_without_copying():
     expected.params[...] = flat
     np.testing.assert_array_equal(bound.forward(attrs, embs), expected.forward(attrs, embs))
     assert not np.shares_memory(model.params, flat)
+
+
+def pipeline_model(kind):
+    """A model as the pipeline builds it, with a batch of inputs and labels for it."""
+    rng = np.random.default_rng(20)
+    model, width, embs = {
+        "student": (init_fusion(6, 4, 3, seed=0), 6, rng.standard_normal((5, 4))),
+        "teacher": (init_teacher(6, 3, seed=0), 6, None),
+        "adapter": (init_adapter(4, 8, 3, seed=0), 4, None),
+    }[kind]
+    return model, (rng.standard_normal((5, width)), embs), rng.integers(0, 3, 5)
+
+
+def pass_dtypes(model, inputs, labels):
+    """The dtypes of a model's logits, CE+KD gradients, HVP and AdamW state."""
+    logits = model.forward(*inputs)
+    kd = (0.5 * logits, 0.5, 2.0)
+    _, grads = model.loss_and_grads(*inputs, labels, kd=kd)
+    hv = model.hvp(*inputs, labels, np.ones_like(model.params), kd=kd)
+    opt = adamw_init(model.params)
+    adamw_step(opt, model.params, grads)
+    return {a.dtype for a in (logits, grads, hv, opt.m, opt.v, model.params)}
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher", "adapter"])
+def test_pipeline_models_compute_in_float32(kind):
+    model, inputs, labels = pipeline_model(kind)
+    assert PARAM_DTYPE == np.float32
+    assert {a.dtype for a in [model.params, *model.get_params()]} == {np.dtype(np.float32)}
+    assert pass_dtypes(model, inputs, labels) == {np.dtype(np.float32)}  # inputs are float64
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher", "adapter"])
+def test_float64_twin_computes_in_float64(kind):
+    model, inputs, labels = pipeline_model(kind)
+    twin = model.bound_to(model.params.astype(np.float64))
+    assert {a.dtype for a in twin.get_params()} == {np.dtype(np.float64)}
+    np.testing.assert_allclose(model.forward(*inputs), twin.forward(*inputs),
+                               rtol=1e-5, atol=1e-5)
+    assert pass_dtypes(twin, inputs, labels) == {np.dtype(np.float64)}
+    assert tiny_fusion(np.random.default_rng(0)).params.dtype == np.float64  # hand-built

@@ -274,6 +274,7 @@ def test_second_order_meta_gradient_matches_fd_on_quadratic():
 def test_second_order_on_model_matches_fd():
     pool, n_classes, d = make_pool()
     model = init_fusion(4, d, n_classes, seed=3)
+    model = model.bound_to(model.params.astype(np.float64))  # FD needs float64
     cfg = MamlConfig(order="second", inner_steps=2, inner_lr=0.05)
     ep = sample_episode(pool, cfg, seed=7)
 
