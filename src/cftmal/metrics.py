@@ -12,7 +12,7 @@ from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta, write_c
 from .distill import KdConfig
 from .fusion import init_fusion, init_teacher, teacher_train
 from .meta import MamlConfig, build_pool, evaluate_few_shot, maml_train
-from .similarity import cosine_gram
+from .similarity import normalize_rows
 
 METHODS = ("attributes_only", "pretrained_embeddings", "random_cft", "similarity_cft")
 
@@ -26,37 +26,38 @@ class EmbeddingQualityReport:
     per_family: dict  # family -> {"intra": ..., "inter": ...}
 
 
-def _pair_means(sims: np.ndarray, labels: np.ndarray):
-    same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(len(labels), dtype=bool)
-    intra_mask = same & off_diag
-    inter_mask = ~same
-    intra = float(sims[intra_mask].mean()) if intra_mask.any() else float("nan")
-    inter = float(sims[inter_mask].mean()) if inter_mask.any() else float("nan")
-    return intra, inter
+def _family_sums(vectors: np.ndarray, labels: np.ndarray, n_families: int):
+    """(unit rows, their squared norms, per-family sums of unit rows, family
+    sizes) for rows labelled 0..n_families-1; zero rows stay zero.
+
+    The cosines over all pairs (i, j) of families f and g sum to S_f·S_g,
+    the diagonal pairs (i, i) to the squared norms, so every mean cosine
+    and silhouette distance follows in O(n·(d + k)) for k families, with no
+    n×n matrix.
+    """
+    normed = normalize_rows(vectors)[0]
+    onehot = np.zeros((len(labels), n_families))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    sq = np.einsum("ij,ij->i", normed, normed)
+    return normed, sq, onehot.T @ normed, np.bincount(labels, minlength=n_families)
 
 
-def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray | None = None) -> float:
+def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray) -> float:
     """Exact silhouette with distance 1 - cosine; degenerate points score 0.
 
-    `sims` may carry the cosine Gram matrix of `vectors` when the caller
-    already has it. Per-class distance sums come from one GEMM with the
-    one-hot label matrix; a point's own distance is taken out of its
-    class sum.
+    A point's summed distance to class c is n_c - n̂·S_c, with S_c the sum
+    of the class's unit rows; its own distance 1 - ‖n̂‖² is taken out of
+    its class sum.
     """
     labels = np.asarray(labels)
     classes, inv = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise ValueError(f"silhouette needs at least 2 labels, got {len(classes)}")
-    dist = 1.0 - (cosine_gram(vectors) if sims is None else sims)
-    n = len(labels)
-    rows = np.arange(n)
-    onehot = np.zeros((n, len(classes)))
-    onehot[rows, inv] = 1.0
-    sums = dist @ onehot  # (n, classes): summed distance to each class
-    sizes = onehot.sum(axis=0)
-    own = sizes[inv] - 1.0  # same-class points other than the point itself
-    a = (sums[rows, inv] - dist[rows, rows]) / np.maximum(own, 1.0)
+    normed, sq, class_sums, sizes = _family_sums(vectors, inv, len(classes))
+    rows = np.arange(len(labels))
+    sums = sizes - normed @ class_sums.T  # (n, classes): summed distance to each class
+    own = sizes[inv] - 1  # same-class points other than the point itself
+    a = (sums[rows, inv] - (1.0 - sq)) / np.maximum(own, 1.0)
     means = sums / sizes
     means[rows, inv] = np.inf
     b = means.min(axis=1)
@@ -66,44 +67,43 @@ def cosine_silhouette(vectors: np.ndarray, labels: np.ndarray, sims: np.ndarray 
     return float(scores.mean())
 
 
-def _labelled_gram(corpus: Corpus):
-    """Cosine Gram matrix of a corpus with at least 2 families of at least
-    2 records each."""
+def _cosine_means(corpus: Corpus):
+    """Mean cosine over same-family pairs i != j and over cross-family
+    pairs, overall and per family, of a corpus with at least 2 families
+    of at least 2 records each: (intra, inter, family intras, family inters)."""
     if len(corpus.families) < 2:
         raise ValueError("need at least 2 families")
-    counts = np.bincount(corpus.labels, minlength=len(corpus.families))
+    _, sq, sums, counts = _family_sums(corpus.vectors, corpus.labels, len(corpus.families))
     for f, c in zip(corpus.families, counts.tolist()):
         if c < 2:
             raise ValueError(f"family {f!r} has {c} records, need >= 2")
-    return cosine_gram(corpus.vectors)
+    within = np.einsum("ij,ij->i", sums, sums)  # family f: its f×f pairs, diagonal included
+    diagonal = np.bincount(corpus.labels, weights=sq, minlength=len(counts))
+    across = sums @ sums.sum(axis=0) - within  # family f: its f×(not f) pairs
+    intra_pairs = counts * (counts - 1)
+    inter_pairs = counts * (len(sq) - counts)
+    intra = (within.sum() - sq.sum()) / intra_pairs.sum()
+    inter = across.sum() / inter_pairs.sum()
+    return float(intra), float(inter), (within - diagonal) / intra_pairs, across / inter_pairs
 
 
 def separation_gap(corpus: Corpus) -> float:
     """Intra- minus inter-family mean cosine: `embedding_quality(corpus).gap`
     without the per-family means and the silhouette."""
-    intra, inter = _pair_means(_labelled_gram(corpus), corpus.labels)
+    intra, inter, _, _ = _cosine_means(corpus)
     return intra - inter
 
 
 def embedding_quality(corpus: Corpus) -> EmbeddingQualityReport:
     """Intra/inter mean cosine, separation gap and cosine silhouette."""
-    sims, labels = _labelled_gram(corpus), corpus.labels
-    intra, inter = _pair_means(sims, labels)
-    per_family = {}
-    for lbl, fam in enumerate(corpus.families):
-        mask = labels == lbl
-        fam_intra = sims[np.ix_(mask, mask)]
-        off = ~np.eye(mask.sum(), dtype=bool)
-        per_family[fam] = {
-            "intra": float(fam_intra[off].mean()),
-            "inter": float(sims[np.ix_(mask, ~mask)].mean()),
-        }
+    intra, inter, fam_intra, fam_inter = _cosine_means(corpus)
     return EmbeddingQualityReport(
         intra_family=intra,
         inter_family=inter,
         gap=intra - inter,
-        silhouette=cosine_silhouette(corpus.vectors, labels, sims=sims),
-        per_family=per_family,
+        silhouette=cosine_silhouette(corpus.vectors, corpus.labels),
+        per_family={fam: {"intra": a, "inter": b} for fam, a, b in
+                    zip(corpus.families, fam_intra.tolist(), fam_inter.tolist())},
     )
 
 

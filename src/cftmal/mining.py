@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .data import Corpus, DescriptionRecord, read_jsonl, write_csv, write_jsonl
-from .similarity import cosine_gram, normalize_rows
+from .similarity import normalize_rows
 
 
 class ShortageError(ValueError):
@@ -81,8 +81,9 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
         raise ValueError(f"unknown family {family!r}")
     if len(rows) == 1:
         return PositiveSelection(family, corpus.records[rows[0]])
-    sims = cosine_gram(corpus.vectors[rows])
-    means = (sims.sum(axis=1) - 1.0) / (len(rows) - 1)
+    normed = normalize_rows(corpus.vectors[rows])[0]
+    # row sums of the family's cosine Gram: each unit row against their sum
+    means = (normed @ normed.sum(axis=0) - 1.0) / (len(rows) - 1)
     # deterministic tie-break on id
     best = max(range(len(rows)), key=lambda i: (means[i], corpus.records[rows[i]].id))
     return PositiveSelection(family, corpus.records[rows[best]])
@@ -237,7 +238,8 @@ def similarity_histogram(corpus: Corpus, positives: dict, family: str, n_bins: i
     if family not in positives:
         raise ValueError(f"no positive selected for family {family!r}")
     scored = _foreign_similarities(corpus, positives[family])
-    sims = np.array([s for _, s in scored], dtype=np.float64)
+    # a foreign copy of the positive's direction may round to just past ±1
+    sims = np.clip(np.array([s for _, s in scored], dtype=np.float64), -1.0, 1.0)
     counts, edges = np.histogram(sims, bins=n_bins, range=(-1.0, 1.0))
     return edges, counts
 

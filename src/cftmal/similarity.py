@@ -37,8 +37,3 @@ def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     safe = np.where(norms == 0.0, 1.0, norms)
     return m / safe, norms, zero
 
-
-def cosine_gram(m: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities of the rows of m; zero rows give 0."""
-    normed = normalize_rows(m)[0]
-    return normed @ normed.T

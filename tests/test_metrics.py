@@ -1,6 +1,7 @@
 import collections
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from cftmal.metrics import (
 from cftmal.cft import CftConfig
 from cftmal.distill import KdConfig
 from cftmal.meta import MamlConfig
-from cftmal.mining import MiningConfig
+from cftmal.mining import MiningConfig, select_positive
+from cftmal.similarity import normalize_rows
 
 
 def axis_corpus():
@@ -100,6 +102,121 @@ def test_cosine_silhouette_matches_brute_force():
     rng.shuffle(labels)
     got = cosine_silhouette(vectors, labels)
     assert got == pytest.approx(brute_silhouette(vectors, labels.tolist()), abs=1e-10)
+
+
+def cosine_gram(m):
+    """Pairwise cosines of the rows of m; zero rows give 0."""
+    normed = normalize_rows(m)[0]
+    return normed @ normed.T
+
+
+def gram_silhouette(vectors, labels):
+    """The silhouette taken from the full distance matrix 1 - cosine."""
+    classes, inv = np.unique(labels, return_inverse=True)
+    dist = 1.0 - cosine_gram(vectors)
+    n = len(labels)
+    rows = np.arange(n)
+    onehot = np.zeros((n, len(classes)))
+    onehot[rows, inv] = 1.0
+    sums = dist @ onehot
+    sizes = onehot.sum(axis=0)
+    own = sizes[inv] - 1.0
+    a = (sums[rows, inv] - dist[rows, rows]) / np.maximum(own, 1.0)
+    means = sums / sizes
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    ok = (own > 0) & (denom > 0.0)
+    scores = np.where(ok, (b - a) / np.where(ok, denom, 1.0), 0.0)
+    return float(scores.mean())
+
+
+def gram_quality(corpus):
+    """(intra, inter, per-family means, silhouette) from the cosine Gram."""
+    sims, labels = cosine_gram(corpus.vectors), corpus.labels
+    same = labels[:, None] == labels[None, :]
+    off_diag = ~np.eye(len(labels), dtype=bool)
+    intra = float(sims[same & off_diag].mean())
+    inter = float(sims[~same].mean())
+    per_family = {}
+    for lbl, fam in enumerate(corpus.families):
+        mask = labels == lbl
+        fam_intra = sims[np.ix_(mask, mask)]
+        off = ~np.eye(mask.sum(), dtype=bool)
+        per_family[fam] = {
+            "intra": float(fam_intra[off].mean()),
+            "inter": float(sims[np.ix_(mask, ~mask)].mean()),
+        }
+    return intra, inter, per_family, gram_silhouette(corpus.vectors, labels)
+
+
+def gram_medoid_means(corpus, family):
+    """Record id -> mean cosine to the rest of its family, from the Gram."""
+    rows = np.flatnonzero(corpus.labels == corpus.families.index(family)).tolist()
+    sims = cosine_gram(corpus.vectors[rows])
+    means = (sims.sum(axis=1) - 1.0) / (len(rows) - 1)
+    return {corpus.records[r].id: m for r, m in zip(rows, means.tolist())}
+
+
+def uneven_corpus(rng):
+    """Uneven families around a shared direction, one of exactly 2 records,
+    and one zero-norm row."""
+    d = int(rng.integers(3, 12))
+    sizes = [2, *rng.integers(3, 40, int(rng.integers(1, 6))).tolist()]
+    rng.shuffle(sizes)
+    shared = 2.0 * rng.standard_normal(d)
+    recs = []
+    for f, size in enumerate(sizes):
+        centre = shared + rng.standard_normal(d)
+        recs += [DescriptionRecord(f"f{f}-r{i:02d}", f"f{f}", centre + rng.standard_normal(d))
+                 for i in range(size)]
+    zero = int(rng.integers(len(recs)))
+    recs[zero] = DescriptionRecord(recs[zero].id, recs[zero].family, np.zeros(d))
+    return Corpus(recs, d)
+
+
+def test_family_sums_match_the_gram_reference():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        corpus = uneven_corpus(rng)
+        intra, inter, per_family, sil = gram_quality(corpus)
+        report = embedding_quality(corpus)
+        assert report.intra_family == pytest.approx(intra, abs=1e-12)
+        assert report.inter_family == pytest.approx(inter, abs=1e-12)
+        assert separation_gap(corpus) == pytest.approx(intra - inter, abs=1e-12)
+        assert set(report.per_family) == set(per_family)
+        for fam, want in per_family.items():
+            assert report.per_family[fam]["intra"] == pytest.approx(want["intra"], abs=1e-12)
+            assert report.per_family[fam]["inter"] == pytest.approx(want["inter"], abs=1e-12)
+        assert report.silhouette == pytest.approx(sil, abs=1e-12)
+        labels = rng.integers(0, 4, len(corpus.records))  # classes across the families
+        assert cosine_silhouette(corpus.vectors, labels) == pytest.approx(
+            gram_silhouette(corpus.vectors, labels), abs=1e-12)
+        for fam in corpus.families:
+            # the same medoid wherever the Gram ranks it first by more than
+            # rounding; the 2 records of a pair tie exactly, up to rounding
+            means = gram_medoid_means(corpus, fam)
+            best, *rest = sorted(means.values(), reverse=True)
+            got = select_positive(corpus, fam).record.id
+            assert means[got] == pytest.approx(best, abs=1e-12)
+            if not rest or best - rest[0] > 1e-12:
+                assert got == max(means, key=lambda rid: (means[rid], rid))
+
+
+def test_gap_and_quality_memory_is_linear_in_rows():
+    # the 4000 x 4000 cosine Gram alone would take 128 MB
+    rng = np.random.default_rng(0)
+    recs = [DescriptionRecord(f"r{i:04d}", f"f{i % 8}", v)
+            for i, v in enumerate(rng.standard_normal((4000, 16)))]
+    corpus = Corpus(recs, 16)
+    for fn in (separation_gap, embedding_quality):
+        tracemalloc.start()
+        try:
+            fn(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (fn.__name__, peak)
 
 
 def test_cosine_silhouette_needs_two_labels():

@@ -265,6 +265,21 @@ def test_similarity_histogram_counts_everything():
     assert len(edges) == 21 and edges[0] == -1.0 and edges[-1] == 1.0
 
 
+def test_similarity_histogram_counts_copies_of_the_positive():
+    # a scaled or negated foreign copy of the positive's direction has a
+    # cosine that may round to just past +1 or -1; it still counts
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(4)
+        corpus = Corpus([DescriptionRecord("a0", "A", e), DescriptionRecord("a1", "A", e.copy()),
+                         DescriptionRecord("b0", "B", 3.0 * e),
+                         DescriptionRecord("b1", "B", -0.5 * e),
+                         DescriptionRecord("b2", "B", rng.standard_normal(4))], 4)
+        _, counts = similarity_histogram(corpus, select_positives(corpus), "A", 4)
+        assert counts.sum() == 3, seed
+        assert counts[0] >= 1 and counts[-1] >= 1, seed
+
+
 def test_jsonl_roundtrips(tmp_path):
     rng = np.random.default_rng(12)
     corpus = random_corpus(rng, n_families=3, lo=12, hi=15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.numeric import ShapeError
-from cftmal.similarity import ZeroNormWarning, cosine_gram, cosine_similarity, normalize_rows
+from cftmal.similarity import ZeroNormWarning, cosine_similarity, normalize_rows
 
 
 def test_cosine_known_values():
@@ -40,7 +40,8 @@ def test_normalize_rows_last_axis_and_cosine_gram():
         np.testing.assert_array_equal(normed[i], want[0])
         np.testing.assert_array_equal(norms[i], want[1])
         np.testing.assert_array_equal(zero[i], want[2])
+    # the cosine Gram of unit rows, the brute-force reference of the metrics tests
     with pytest.warns(ZeroNormWarning):
         want = [[cosine_similarity(a, b) for b in m[1]] for a in m[1]]
-    np.testing.assert_allclose(cosine_gram(m[1]), want, atol=1e-12)
+    np.testing.assert_allclose(normed[1] @ normed[1].T, want, atol=1e-12)
 
