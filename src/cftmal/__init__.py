@@ -3,7 +3,6 @@ malware-family classification over precomputed embeddings."""
 
 from .cft import AdapterHead, CftConfig, info_nce, refine, train_adapter
 from .data import (
-    AttributeRecord,
     Corpus,
     DescriptionRecord,
     FormatError,

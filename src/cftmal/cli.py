@@ -180,11 +180,10 @@ def _cmd_refine(v, path):
 
 def _cmd_teacher(v, path):
     attrs = data.load_attributes(v["attributes"])
-    families = sorted({a.family for a in attrs})
-    teacher, trace = teacher_train(attrs, families, lr=v["teacher_lr"],
+    teacher, trace = teacher_train(attrs, lr=v["teacher_lr"],
                                    epochs=v["teacher_epochs"], seed=v["seed"])
     teacher.save(path)
-    return (f"{len(attrs)} rows, {len(families)} classes, "
+    return (f"{len(attrs)} rows, {len(attrs.families)} classes, "
             f"final train accuracy {trace[-1]:.3f} -> {path}")
 
 

@@ -1,6 +1,7 @@
-"""Corpus ingestion, the EMB1 binary format, the CSV and JSONL helpers every
-text artifact goes through, the opener every artifact is written with,
-synthetic corpora and splits."""
+"""Corpus ingestion (embeddings and attribute tables alike), the one pairing
+of attribute rows with corpus rows, the EMB1 binary format, the CSV and JSONL
+helpers every text artifact goes through, the opener every artifact is
+written with, synthetic corpora and splits."""
 
 from __future__ import annotations
 
@@ -29,17 +30,11 @@ class DescriptionRecord:
 
 
 @dataclass
-class AttributeRecord:
-    id: str
-    family: str
-    attributes: np.ndarray
-
-
-@dataclass
 class Corpus:
-    """Description records and the row layout every stage reads: `vectors`,
-    a read-only (n, dim) float64 matrix whose row i is `records[i].vector`;
-    `rows`, record id -> row; `labels`, each row's index into `families`."""
+    """The rows of one feature set, description embeddings or attribute
+    vectors, and the row layout every stage reads: `vectors`, a read-only
+    (n, dim) float64 matrix whose row i is `records[i].vector`; `rows`,
+    record id -> row; `labels`, each row's index into `families`."""
 
     records: list
     dim: int
@@ -173,33 +168,42 @@ def _trailer_ids(meta) -> tuple:
     return str(meta["id"]), str(meta["family"])
 
 
-def _read_embeddings_csv(path) -> Corpus:
-    rows = _read_feature_csv(path, id_family_first=True)
-    if not rows:
-        raise FormatError(f"{path}: no records")
-    return Corpus([DescriptionRecord(*row) for row in rows], len(rows[0][2]))
-
-
 def load_embeddings(path) -> Corpus:
     """Load a corpus from EMB1 binary or id,family,v... CSV."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == EMB1_MAGIC:
         return _read_emb1(path)
-    return _read_embeddings_csv(path)
+    return _read_feature_csv(path, id_family_first=True)
 
 
-def load_attributes(path) -> list:
-    """Load attribute records from a CSV with id, family and numeric columns."""
-    return [AttributeRecord(*row) for row in _read_feature_csv(path, id_family_first=False)]
+def load_attributes(path) -> Corpus:
+    """Load an attribute table from a CSV with id, family and numeric columns."""
+    return _read_feature_csv(path, id_family_first=False)
 
 
-def write_attributes(path, records) -> None:
-    if not records:
+def write_attributes(path, table: Corpus) -> None:
+    if not len(table):
         raise ValueError("no attribute records to write")
-    m = records[0].attributes.shape[0]
-    write_csv(path, ["id", "family"] + [f"f{i}" for i in range(m)],
-              ([r.id, r.family] + [repr(float(v)) for v in r.attributes] for r in records))
+    write_csv(path, ["id", "family"] + [f"f{i}" for i in range(table.dim)],
+              ([r.id, r.family] + [repr(v) for v in row.tolist()]
+               for r, row in zip(table.records, table.vectors)))
+
+
+def attribute_rows(corpus: Corpus, table: Corpus) -> np.ndarray:
+    """The row of `table` paired with each row of `corpus` by record id; the
+    attribute row must carry its record's family."""
+    rows = np.empty(len(corpus), dtype=np.int64)
+    for i, r in enumerate(corpus.records):
+        j = table.rows.get(r.id)
+        if j is None:
+            raise ValueError(f"record {r.id!r} has no attribute row")
+        family = table.records[j].family
+        if family != r.family:
+            raise ValueError(f"record {r.id!r}: attribute row family {family!r} "
+                             f"!= embedding family {r.family!r}")
+        rows[i] = j
+    return rows
 
 
 # --- CSV and JSONL: every text artifact goes through these helpers. A reader
@@ -243,10 +247,10 @@ def _json_line(path, where: str, raw: bytes, parse):
         raise FormatError(f"{path}: {where}: {exc}") from exc
 
 
-def _read_feature_csv(path, id_family_first: bool) -> list:
-    """(id, family, float64 vector) per data row of a CSV with `id` and
-    `family` columns; every other column is a finite float feature and ids
-    are unique. `id_family_first` requires those two columns to lead."""
+def _read_feature_csv(path, id_family_first: bool) -> Corpus:
+    """The rows of a CSV with `id` and `family` columns as a Corpus; every
+    other column is a finite float feature, ids are unique and at least one
+    row is needed. `id_family_first` requires those two columns to lead."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -262,7 +266,7 @@ def _read_feature_csv(path, id_family_first: bool) -> list:
             feat_ix = [i for i in range(len(header)) if i not in (id_ix, fam_ix)]
             if not feat_ix:
                 raise FormatError(f"{path}: no feature columns")
-            rows, first_row = [], {}
+            records, first_row = [], {}
             for rownum, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise FormatError(
@@ -279,12 +283,14 @@ def _read_feature_csv(path, id_family_first: bool) -> list:
                     raise FormatError(
                         f"{path}: duplicate id {row[id_ix]!r} at rows {first} and {rownum}"
                     )
-                rows.append((row[id_ix], row[fam_ix], vec))
+                records.append(DescriptionRecord(row[id_ix], row[fam_ix], vec))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return rows
+    if not records:
+        raise FormatError(f"{path}: no records")
+    return Corpus(records, len(feat_ix))
 
 
 @dataclass
@@ -318,7 +324,7 @@ def _unit(rng, d):
 
 
 def generate_synthetic(spec: SyntheticSpec):
-    """Build a (Corpus, attribute records) pair from a synthetic spec.
+    """Build a (corpus, attribute table) pair of Corpus from a synthetic spec.
 
     Family embedding centroids mix three unit directions: one per family,
     one shared within small groups of families (so some families are much
@@ -374,39 +380,38 @@ def generate_synthetic(spec: SyntheticSpec):
             rid = f"{fam}-{i:04d}"
             vec = (1.0 - beta[i]) * centroid + beta[i] * centroids[target[i]] + noise[i]
             records.append(DescriptionRecord(rid, fam, vec))
-            attr_records.append(AttributeRecord(rid, fam, attr_centroid + attr_noise[i]))
-    return Corpus(records, d), attr_records
+            attr_records.append(DescriptionRecord(rid, fam, attr_centroid + attr_noise[i]))
+    return Corpus(records, d), Corpus(attr_records, m)
 
 
 DRIFT_FRACTION = 0.55
 DRIFT_LO, DRIFT_HI = 0.45, 0.7
 
 
-def split_meta(corpus: Corpus, attributes, holdout_fraction: float, seed: int):
+def split_meta(corpus: Corpus, attributes: Corpus, holdout_fraction: float, seed: int):
     """Stratified per-family split into (train pool, meta-test pool).
 
-    Each pool is a (Corpus, attribute records) pair; record ids in the two
-    pools are disjoint and their union is the input. Every record needs an
-    attribute row.
+    Each pool is a (corpus, attribute table) pair of row-aligned Corpus
+    with the corpus's `families`; record ids in the two pools are disjoint
+    and their union is the input. Every record needs an attribute row of its
+    own family.
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in [0, 1)")
-    attr_by_id = {a.id: a for a in attributes}
-    for r in corpus.records:
-        if r.id not in attr_by_id:
-            raise ValueError(f"record {r.id!r} has no attribute row")
+    attr_rows = attribute_rows(corpus, attributes)
     rng = np.random.default_rng(seed)
-    train_recs, test_recs = [], []
+    train_rows, test_rows = [], []
     for label in range(len(corpus.families)):
         fam_rows = np.flatnonzero(corpus.labels == label)
         n_test = int(round(len(fam_rows) * holdout_fraction))
         test_ix = set(rng.permutation(len(fam_rows))[:n_test].tolist())
         for i, row in enumerate(fam_rows.tolist()):
-            (test_recs if i in test_ix else train_recs).append(corpus.records[row])
+            (test_rows if i in test_ix else train_rows).append(row)
 
-    def pool(recs):
-        c = Corpus(recs, corpus.dim, families=list(corpus.families))
-        attrs = [attr_by_id[r.id] for r in recs]
-        return c, attrs
+    def pool(rows):
+        def table(source, ix):
+            return Corpus([source.records[i] for i in ix], source.dim, families=list(corpus.families))
 
-    return pool(train_recs), pool(test_recs)
+        return table(corpus, rows), table(attributes, attr_rows[rows].tolist())
+
+    return pool(train_rows), pool(test_rows)

@@ -46,7 +46,7 @@ from .numeric import (
     n_params,
     rebind_params,
 )
-from .data import FormatError
+from .data import Corpus, FormatError
 from .serial import read_layers, write_layers
 
 FUS1_MAGIC = b"FUS1"
@@ -249,28 +249,19 @@ def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
 TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01
 
 
-def teacher_train(attributes, families, lr: float = 1e-3, epochs: int = 40, seed: int = 0):
-    """AdamW training of the teacher on attribute records alone.
-
-    `families` fixes the class order. Returns (teacher, accuracy trace
-    per epoch).
+def teacher_train(attributes: Corpus, lr: float = 1e-3, epochs: int = 40, seed: int = 0):
+    """AdamW training of the teacher on an attribute table alone, one class
+    per entry of its `families`. Returns (teacher, accuracy trace per
+    epoch).
     """
-    if not attributes:
+    if not len(attributes):
         raise ValueError("no attribute rows to train on")
     if epochs < 1:
         raise ValueError("teacher_epochs must be >= 1")
     if not math.isfinite(lr) or lr <= 0.0:
         raise ValueError("teacher_lr must be > 0")
-    classes = {f: i for i, f in enumerate(families)}
-    for a in attributes:
-        if a.family not in classes:
-            raise ValueError(
-                f"attribute row {a.id!r}: family {a.family!r} is not one of "
-                f"the {len(classes)} teacher classes"
-            )
-    attrs = np.stack([a.attributes for a in attributes])
-    labels = np.array([classes[a.family] for a in attributes], dtype=np.int64)
-    teacher = init_teacher(attrs.shape[1], len(classes), seed)
+    attrs, labels = attributes.vectors, attributes.labels
+    teacher = init_teacher(attributes.dim, len(attributes.families), seed)
     opt = adamw_init(teacher.params, lr=lr, weight_decay=TEACHER_WEIGHT_DECAY)
     trace = []
     n = len(attributes)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Corpus, write_csv
+from .data import Corpus, attribute_rows, write_csv
 from .numeric import ShapeError, adamw_init, adamw_step
 
 
@@ -61,25 +61,12 @@ class MamlConfig:
             raise ValueError(f"unknown order {self.order!r}")
 
 
-def build_pool(corpus: Corpus, attributes) -> Batch:
-    """Pair refined embeddings with attribute vectors by record id, in
-    corpus row order: `embs` and `labels` are the corpus's own arrays.
-
-    An attribute row must carry its record's family.
-    """
-    attr_by_id = {a.id: a for a in attributes}
-    rows = []
-    for r in corpus.records:
-        a = attr_by_id.get(r.id)
-        if a is None:
-            raise ValueError(f"record {r.id!r} has no attribute row")
-        if a.family != r.family:
-            raise ValueError(
-                f"record {r.id!r}: attribute row family {a.family!r} "
-                f"!= embedding family {r.family!r}"
-            )
-        rows.append(a.attributes)
-    return Batch(np.stack(rows), corpus.vectors, corpus.labels)
+def build_pool(corpus: Corpus, attributes: Corpus) -> Batch:
+    """Gather the attribute row of each corpus row by record id: `embs` and
+    `labels` are the corpus's own arrays. An attribute row must carry its
+    record's family."""
+    return Batch(attributes.vectors[attribute_rows(corpus, attributes)],
+                 corpus.vectors, corpus.labels)
 
 
 def sample_episode(pool: Batch, cfg: MamlConfig, seed: int) -> Episode:

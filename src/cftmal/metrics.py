@@ -184,14 +184,14 @@ def _check_episode_fits(name: str, pool: Corpus, need: int) -> None:
             raise ValueError(f"{name} pool: family {fam!r} has {count} records, episode needs {need}")
 
 
-def run_pipeline(method: str, corpus: Corpus, attributes, settings: AblationSettings,
+def run_pipeline(method: str, corpus: Corpus, attributes: Corpus, settings: AblationSettings,
                  seed: int) -> dict:
     """One end-to-end run: split -> (mine -> cft -> refine) -> teacher ->
     MAML(+KD) -> few-shot eval. Returns accuracy and embedding-quality gaps."""
     return _run_seed((method,), corpus, attributes, settings, seed)[0]
 
 
-def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
+def _run_seed(methods, corpus: Corpus, attributes: Corpus, settings: AblationSettings,
               seed: int) -> list:
     """`run_pipeline` for each of `methods` on one seed. The split, raw gap,
     positives and teacher depend on the seed alone and are made once."""
@@ -212,8 +212,7 @@ def _run_seed(methods, corpus: Corpus, attributes, settings: AblationSettings,
     if set(methods) - {"attributes_only"}:
         with _stage("maml"):
             teacher, _ = teacher_train(
-                train_a, corpus.families,
-                lr=settings.teacher_lr, epochs=settings.teacher_epochs, seed=seed,
+                train_a, lr=settings.teacher_lr, epochs=settings.teacher_epochs, seed=seed,
             )
     mcfg = replace(settings.mining, seed=seed)
     mamlcfg = replace(settings.maml, seed=seed)

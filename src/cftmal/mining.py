@@ -73,6 +73,9 @@ def _family_rng(seed: int, family: str, salt: str = "") -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(h[:8], "little")])
 
 
+MEDOID_TIE = 1e-12
+
+
 def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     """Pick the single ground-truth record for a family: the medoid, the
     record with the highest mean cosine similarity to its family."""
@@ -84,8 +87,11 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     normed = normalize_rows(corpus.vectors[rows])[0]
     # row sums of the family's cosine Gram: each unit row against their sum
     means = (normed @ normed.sum(axis=0) - 1.0) / (len(rows) - 1)
-    # deterministic tie-break on id
-    best = max(range(len(rows)), key=lambda i: (means[i], corpus.records[rows[i]].id))
+    # rounding can part means that are equal in exact arithmetic (the two of
+    # a 2-record family always are): within MEDOID_TIE of the best is a tie,
+    # and the largest id among the tied wins
+    tied = np.flatnonzero(means >= means.max() - MEDOID_TIE).tolist()
+    best = max(tied, key=lambda i: corpus.records[rows[i]].id)
     return PositiveSelection(family, corpus.records[rows[best]])
 
 
@@ -103,7 +109,8 @@ def _foreign_similarities(corpus: Corpus, positive: PositiveSelection):
     e = positive.embedding
     n = np.linalg.norm(e)
     en = e / n if n > 0 else e
-    sims = normed @ en
+    # a foreign copy of the positive's direction may round to just past ±1
+    sims = np.clip(normed @ en, -1.0, 1.0)
     return [(corpus.records[i], s) for i, s in zip(foreign, sims.tolist())]
 
 
@@ -238,8 +245,7 @@ def similarity_histogram(corpus: Corpus, positives: dict, family: str, n_bins: i
     if family not in positives:
         raise ValueError(f"no positive selected for family {family!r}")
     scored = _foreign_similarities(corpus, positives[family])
-    # a foreign copy of the positive's direction may round to just past ±1
-    sims = np.clip(np.array([s for _, s in scored], dtype=np.float64), -1.0, 1.0)
+    sims = np.array([s for _, s in scored], dtype=np.float64)
     counts, edges = np.histogram(sims, bins=n_bins, range=(-1.0, 1.0))
     return edges, counts
 

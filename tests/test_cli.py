@@ -447,6 +447,22 @@ def test_mine_rejects_embeddings_without_records(tmp_path, capsys):
     assert not (tmp_path / "negatives.jsonl").exists()
 
 
+@pytest.mark.parametrize("stage", ["teacher", "maml"])
+def test_attributes_without_records_exit_1_naming_the_file(tmp_path, capsys, stage):
+    assert run("synth", "--out", str(tmp_path), "--families", "3", "--records", "10",
+               "--dim", "8", "--attr-dim", "4") == 0
+    path = tmp_path / "empty.csv"
+    path.write_text("id,family,f0,f1,f2,f3\n")
+    inputs = {"teacher": ["--attributes", str(path)],
+              "maml": ["--embeddings", str(tmp_path / "embeddings.emb1"),
+                       "--attributes", str(path), "--meta-iterations", "1"]}[stage]
+    capsys.readouterr()
+    assert run(stage, "--out", str(tmp_path), *inputs) == 1
+    assert f"cftmal {stage}: error: {path}: no records" in capsys.readouterr().err
+    output = {"teacher": "teacher.tch1", "maml": "student.fus1"}[stage]
+    assert not (tmp_path / output).exists()
+
+
 def _taking(layer, width):
     """`layer` with its weights reshaped to take `width` inputs."""
     return DenseLayer(np.zeros((layer.out_dim, width)), layer.bias, layer.activation)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cftmal.data import (
-    AttributeRecord,
     Corpus,
     DescriptionRecord,
     FormatError,
@@ -164,13 +163,13 @@ def test_csv_embeddings_rejects_bad_rows(tmp_path):
 
 def test_attributes_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
-    records = [AttributeRecord(f"r{i}", "fam", rng.standard_normal(3)) for i in range(4)]
+    table = Corpus([DescriptionRecord(f"r{i}", "fam", rng.standard_normal(3)) for i in range(4)], 3)
     path = tmp_path / "a.csv"
-    write_attributes(path, records)
+    write_attributes(path, table)
     back = load_attributes(path)
-    assert [a.id for a in back] == [a.id for a in records]
-    for a, b in zip(records, back):
-        np.testing.assert_allclose(a.attributes, b.attributes)
+    assert [a.id for a in back.records] == [a.id for a in table.records]
+    for a, b in zip(table.records, back.records):
+        np.testing.assert_allclose(a.vector, b.vector)
 
 
 def test_attributes_reject_duplicate_ids(tmp_path):
@@ -193,7 +192,7 @@ def test_generate_synthetic_shape_and_determinism():
     c1, a1 = generate_synthetic(spec)
     c2, a2 = generate_synthetic(spec)
     assert len(c1) == 200 and c1.dim == 16
-    assert len(a1) == 200 and a1[0].attributes.shape == (8,)
+    assert len(a1) == 200 and a1.dim == 8 and a1.vectors.shape == (200, 8)
     assert len(c1.families) == 4
     for r1, r2 in zip(c1.records, c2.records):
         np.testing.assert_array_equal(r1.vector, r2.vector)
@@ -234,8 +233,10 @@ def test_split_meta_stratified_and_disjoint():
     assert train_ids | test_ids == {r.id for r in corpus.records}
     for fam, recs in ec.by_family().items():
         assert len(recs) == 10  # stratified
-    assert {a.id for a in ta} == train_ids
-    assert {a.id for a in ea} == test_ids
+    # the attribute pools are row-aligned with the corpus pools
+    assert [a.id for a in ta.records] == [r.id for r in tc.records]
+    assert [a.id for a in ea.records] == [r.id for r in ec.records]
+    assert ta.families == ea.families == corpus.families
 
 
 def test_split_fits_an_episode_smaller_than_the_default():
@@ -262,7 +263,7 @@ def test_split_meta_rejects_record_without_attributes():
     spec = SyntheticSpec(n_families=2, records_per_family=40, embedding_dim=8, seed=1)
     corpus, attrs = generate_synthetic(spec)
     missing = corpus.records[7].id
-    attrs = [a for a in attrs if a.id != missing]
+    attrs = Corpus([a for a in attrs.records if a.id != missing], attrs.dim)
     with pytest.raises(ValueError, match=f"record {missing!r} has no attribute row"):
         split_meta(corpus, attrs, 0.25, seed=0)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cftmal.data import (
     EMB1_MAGIC,
-    AttributeRecord,
     Corpus,
     DescriptionRecord,
     FormatError,
@@ -85,14 +84,14 @@ def read_corpus(path):
 
 def write_attribute_table(path, table):
     ids, families, rows = table
-    write_attributes(path, [AttributeRecord(i, f, np.array(v))
-                            for i, f, v in zip(ids, families, rows)])
+    write_attributes(path, Corpus([DescriptionRecord(i, f, np.array(v))
+                                   for i, f, v in zip(ids, families, rows)], len(rows[0])))
 
 
 def read_attribute_table(path):
-    records = load_attributes(path)
+    records = load_attributes(path).records
     return ([r.id for r in records], [r.family for r in records],
-            [r.attributes.tolist() for r in records])
+            [r.vector.tolist() for r in records])
 
 
 @st.composite

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cftmal.cft import init_adapter
-from cftmal.data import AttributeRecord, Corpus, DescriptionRecord
+from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.fusion import (
     PARAM_DTYPE,
     FusionModel,
@@ -152,26 +152,26 @@ def test_teacher_train_learns_separable_data():
         center = np.zeros(6)
         center[c * 2] = 3.0
         for i in range(30):
-            rows.append(AttributeRecord(
+            rows.append(DescriptionRecord(
                 f"c{c}-{i}", f"c{c}", center + 0.3 * rng.standard_normal(6)
             ))
-    teacher, trace = teacher_train(rows, ["c0", "c1", "c2"], lr=1e-2,
+    teacher, trace = teacher_train(Corpus(rows, 6, families=["c0", "c1", "c2"]), lr=1e-2,
                                    epochs=15, seed=11)
     assert trace[-1] > 0.95
     assert trace[-1] >= trace[0]
 
 
 def test_teacher_train_rejects_row_outside_families():
-    rows = [AttributeRecord("a", "c0", np.ones(4)), AttributeRecord("b", "c7", np.ones(4))]
-    with pytest.raises(ValueError, match="'b'.*'c7'"):
-        teacher_train(rows, ["c0", "c1"], epochs=1)
+    rows = [DescriptionRecord("a", "c0", np.ones(4)), DescriptionRecord("b", "c7", np.ones(4))]
+    with pytest.raises(FormatError, match="'b'.*'c7'"):
+        teacher_train(Corpus(rows, 4, families=["c0", "c1"]), epochs=1)
 
 
 @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
 def test_teacher_train_rejects_a_rate_that_is_not_finite_and_positive(lr):
-    rows = [AttributeRecord("a", "c0", np.ones(4)), AttributeRecord("b", "c1", np.ones(4))]
+    rows = [DescriptionRecord("a", "c0", np.ones(4)), DescriptionRecord("b", "c1", np.ones(4))]
     with pytest.raises(ValueError, match="teacher_lr must be > 0"):
-        teacher_train(rows, ["c0", "c1"], lr=lr, epochs=1)
+        teacher_train(Corpus(rows, 4), lr=lr, epochs=1)
 
 
 def test_teacher_save_load(tmp_path):
@@ -189,8 +189,8 @@ def test_teacher_save_load(tmp_path):
 def test_batch_arrays():
     corpus = Corpus([DescriptionRecord("a", "f1", np.zeros(3)),
                      DescriptionRecord("b", "f0", np.ones(3))], 3)
-    rows = [AttributeRecord("b", "f0", np.ones(2) * 2), AttributeRecord("a", "f1", np.ones(2))]
-    attrs, embs, labels = batch_arrays(build_pool(corpus, rows))
+    rows = [DescriptionRecord("b", "f0", np.ones(2) * 2), DescriptionRecord("a", "f1", np.ones(2))]
+    attrs, embs, labels = batch_arrays(build_pool(corpus, Corpus(rows, 2)))
     assert attrs.shape == (2, 2) and embs.shape == (2, 3)
     np.testing.assert_array_equal(attrs, [[1.0, 1.0], [2.0, 2.0]])
     np.testing.assert_array_equal(embs, [np.zeros(3), np.ones(3)])

@@ -135,7 +135,10 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 def test_record_vectors_are_stacked_in_data_only():
     """`Corpus.vectors` holds every record's vector as one matrix, built in
     `data`; a comprehension over record `.vector`s anywhere else would
-    rebuild that matrix, or part of it, on its own."""
+    rebuild that matrix, or part of it, on its own. Likewise `Corpus.rows`
+    maps ids to rows and `data.attribute_rows` pairs attribute rows with
+    corpus rows; a dict comprehension keyed on record `.id`s anywhere else
+    would pair rows by id a second time."""
     offenders = set()  # a set: nested comprehensions walk the same node twice
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "data":
@@ -146,6 +149,9 @@ def test_record_vectors_are_stacked_in_data_only():
                 offenders |= {f"{path.stem}:{t.lineno} reads .vector in a comprehension"
                               for t in ast.walk(node)
                               if isinstance(t, ast.Attribute) and t.attr == "vector"}
+            if (isinstance(node, ast.DictComp) and isinstance(node.key, ast.Attribute)
+                    and node.key.attr == "id"):
+                offenders.add(f"{path.stem}:{node.lineno} keys a dict comprehension on .id")
     assert sorted(offenders) == []
 
 

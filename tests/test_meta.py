@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cftmal.data import AttributeRecord, SyntheticSpec, generate_synthetic
+from cftmal.data import Corpus, DescriptionRecord, SyntheticSpec, generate_synthetic
 from cftmal.fusion import FusionModel, batch_arrays, init_fusion, teacher_train
 from cftmal.meta import (
     MamlConfig,
@@ -30,12 +30,13 @@ def make_pool(seed=0, n_families=3, per_family=40):
 
 def test_build_pool_pairs_by_id():
     corpus, attrs = make_data()
-    shuffled = [attrs[i] for i in np.random.default_rng(0).permutation(len(attrs))]
+    shuffled = Corpus([attrs.records[i] for i in np.random.default_rng(0).permutation(len(attrs))],
+                      attrs.dim)
     pool = build_pool(corpus, shuffled)
     assert len(corpus.families) == 3
     assert pool.attrs.shape == (120, 4) and pool.embs.shape == (120, 8)
     assert set(pool.labels.tolist()) == {0, 1, 2}
-    by_id = {a.id: a.attributes for a in attrs}
+    by_id = {a.id: a.vector for a in attrs.records}
     for i, r in enumerate(corpus.records):  # row i of every matrix is record i
         np.testing.assert_array_equal(pool.attrs[i], by_id[r.id])
         np.testing.assert_array_equal(pool.embs[i], r.vector)
@@ -50,18 +51,19 @@ def test_build_pool_missing_attribute():
                          attribute_dim=4, seed=1)
     corpus, attrs = generate_synthetic(spec)
     with pytest.raises(ValueError, match="no attribute row"):
-        build_pool(corpus, attrs[:-1])
+        build_pool(corpus, Corpus(attrs.records[:-1], attrs.dim))
 
 
 def test_build_pool_rejects_family_mismatch():
     spec = SyntheticSpec(n_families=2, records_per_family=30, embedding_dim=8,
                          attribute_dim=4, seed=1)
     corpus, attrs = generate_synthetic(spec)
-    other = next(f for f in corpus.families if f != attrs[3].family)
-    attrs[3] = AttributeRecord(attrs[3].id, other, attrs[3].attributes)
-    with pytest.raises(ValueError, match=f"record {attrs[3].id!r}: attribute row family "
+    records = list(attrs.records)
+    other = next(f for f in corpus.families if f != records[3].family)
+    records[3] = DescriptionRecord(records[3].id, other, records[3].vector)
+    with pytest.raises(ValueError, match=f"record {records[3].id!r}: attribute row family "
                                          f"{other!r} != embedding family"):
-        build_pool(corpus, attrs)
+        build_pool(corpus, Corpus(records, attrs.dim))
 
 
 def pool_rows(pool, batch):
@@ -97,7 +99,7 @@ def reference_episode(corpus, attrs, cfg, seed):
     """The per-record draw: regroup the records by label in corpus order,
     one `rng.permutation` per label in ascending label order, each set
     stacked from the records' own vectors."""
-    attr_by_id = {a.id: a.attributes for a in attrs}
+    attr_by_id = {a.id: a.vector for a in attrs.records}
     by_label = {}
     for r, label in zip(corpus.records, corpus.labels.tolist()):
         by_label.setdefault(label, []).append((attr_by_id[r.id], r.vector, label))
@@ -387,9 +389,10 @@ def test_layers_stay_views_of_the_flat_parameter_vector(tmp_path):
     assert_bound(model)  # building a model from another's layers leaves them bound
     model.save(tmp_path / "m.fus1")
     assert_bound(FusionModel.load(tmp_path / "m.fus1"))
-    attrs = [AttributeRecord(f"r{i}", f"f{label}", a)
-             for i, (a, label) in enumerate(zip(pool.attrs, pool.labels.tolist()))]
-    teacher, _ = teacher_train(attrs, ["f0", "f1", "f2"], epochs=1)
+    attrs = Corpus([DescriptionRecord(f"r{i}", f"f{label}", a)
+                    for i, (a, label) in enumerate(zip(pool.attrs, pool.labels.tolist()))],
+                   4, families=["f0", "f1", "f2"])
+    teacher, _ = teacher_train(attrs, epochs=1)
     assert_bound(teacher)
     cfg = MamlConfig(inner_steps=1, inner_lr=0.05, tasks_per_meta_batch=1)
     before = model.params.copy()

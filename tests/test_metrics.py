@@ -310,6 +310,18 @@ def test_unfillable_train_pool_fails_at_split(calls):
     assert calls == {"split": 1}  # before the positives and the teacher
 
 
+def test_attribute_row_of_another_family_fails_at_split(calls):
+    corpus, attrs = tiny_data(4)
+    records = list(attrs.records)
+    other = next(f for f in corpus.families if f != records[0].family)
+    records[0] = DescriptionRecord(records[0].id, other, records[0].vector)
+    with pytest.raises(PipelineStageError, match=f"record {records[0].id!r}: attribute row "
+                                                 f"family {other!r} != embedding family") as exc:
+        run_pipeline("similarity_cft", corpus, Corpus(records, attrs.dim), tiny_settings(), seed=0)
+    assert exc.value.stage == "split"
+    assert calls == {"split": 1}  # before the teacher trains on the wrong label
+
+
 def test_raw_gap_failure_names_the_split_stage(calls):
     corpus, attrs = generate_synthetic(SyntheticSpec(
         n_families=1, records_per_family=80, embedding_dim=16, attribute_dim=8, seed=0))

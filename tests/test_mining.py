@@ -62,6 +62,18 @@ def test_select_positive_is_medoid():
     assert pos.record.id == best.id
 
 
+def test_select_positive_breaks_a_two_record_tie_on_id():
+    # the two means of a 2-record family are one cosine, rounded two ways;
+    # the larger id wins whichever row order and vector it has
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal(8), rng.standard_normal(8) * rng.uniform(0.1, 10.0)
+        for x, y in ((u, v), (v, u)):
+            a, b = DescriptionRecord("a", "A", x), DescriptionRecord("b", "A", y)
+            for records in ([a, b], [b, a]):
+                assert select_positive(Corpus(records, 8), "A").record.id == "b", seed
+
+
 def test_select_positive_explicit_and_errors():
     rng = np.random.default_rng(1)
     corpus = random_corpus(rng, n_families=3)
@@ -278,6 +290,19 @@ def test_similarity_histogram_counts_copies_of_the_positive():
         _, counts = similarity_histogram(corpus, select_positives(corpus), "A", 4)
         assert counts.sum() == 3, seed
         assert counts[0] >= 1 and counts[-1] >= 1, seed
+
+
+def test_mine_negatives_keeps_a_scaled_copy_of_the_positive_at_threshold_one(tmp_path):
+    # unclipped, cos(3e, e) rounds to 1.0000000000000002 for this e
+    e = np.random.default_rng(3).standard_normal(4)
+    corpus = Corpus([DescriptionRecord("a0", "A", e), DescriptionRecord("b0", "B", 3.0 * e)], 4)
+    cfg = MiningConfig(threshold=1.0, n_hard=1, n_diverse=0,
+                       negatives_hard_per_sample=1, negatives_diverse_per_sample=0)
+    ns = mine_negatives(corpus, select_positives(corpus), "A", cfg)
+    assert [rid for rid, _ in ns.hard] == ["b0"]
+    path = tmp_path / "neg.jsonl"
+    negative_sets_to_jsonl(path, [ns])
+    assert negative_sets_from_jsonl(path)[0].hard[0][1] <= 1.0
 
 
 def test_jsonl_roundtrips(tmp_path):
