@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, DescriptionRecord, write_csv
+from .data import Corpus, write_csv
 from .fusion import FusionModel
 from .numeric import ShapeError, adamw_init, adamw_step, init_dense
 from .similarity import ZeroNormWarning, normalize_rows
@@ -189,11 +189,7 @@ def refine(head: AdapterHead, corpus: Corpus) -> Corpus:
     if corpus.dim != head.in_dim:
         raise ShapeError(f"corpus dim {corpus.dim} != adapter in dim {head.in_dim}")
     out = normalize_rows(head.forward(corpus.vectors).astype(np.float64))[0]
-    records = [
-        DescriptionRecord(r.id, r.family, out[i])
-        for i, r in enumerate(corpus.records)
-    ]
-    return Corpus(records, head.out_dim, families=list(corpus.families))
+    return corpus.take(range(len(corpus)), out)
 
 
 def loss_trace_to_csv(path, trace) -> None:

@@ -29,7 +29,8 @@ import sys
 from . import cft, data, metrics, mining
 from .distill import KdConfig
 from .fusion import FusionModel, TeacherModel, init_fusion, teacher_train
-from .meta import MamlConfig, build_pool, eval_report_to_csv, evaluate_few_shot, maml_train
+from .meta import (MamlConfig, build_pool, check_episode_fits, eval_report_to_csv,
+                   evaluate_few_shot, maml_train)
 
 
 class ConfigError(ValueError):
@@ -119,12 +120,21 @@ def _cmd_synth(v, spec, emb_path, attr_path):
 
 
 def _cmd_ingest(v, emb_path, attr_path):
-    corpus = data.load_embeddings(v["embeddings"])
+    emb_in, attr_in = v["embeddings"], v["attributes"]
+    corpus = data.load_embeddings(emb_in)
+    attrs = data.load_attributes(attr_in) if attr_in else None
+    if attrs:
+        try:
+            data.attribute_rows(corpus, attrs)
+        except ValueError as exc:
+            raise _mismatch(attr_in, emb_in, exc) from exc
+        if attrs.families != corpus.families:
+            raise _mismatch(attr_in, emb_in, f"families {', '.join(attrs.families)} in the "
+                            f"attributes, {', '.join(corpus.families)} in the embeddings")
     data.write_embeddings(emb_path, corpus)
     parts = [f"{len(corpus)} records, {len(corpus.families)} families, dim {corpus.dim} "
              f"-> {emb_path} (sha256 {_sha256(emb_path)[:16]})"]
-    if v["attributes"]:
-        attrs = data.load_attributes(v["attributes"])
+    if attrs:
         data.write_attributes(attr_path, attrs)
         parts.append(f"{len(attrs)} attribute rows -> {attr_path}")
     return "; ".join(parts)
@@ -187,10 +197,10 @@ def _cmd_teacher(v, path):
             f"final train accuracy {trace[-1]:.3f} -> {path}")
 
 
-def _meta_inputs(v):
+def _meta_inputs(v, mamlcfg):
     """The embeddings, attribute pool and optional teacher of maml and eval,
     and `fit(model, path)`, which checks that a loaded student or teacher
-    fits the embeddings and attributes."""
+    fits them. Every family must fill the stage's largest episode."""
     emb_path, attr_path = v["embeddings"], v["attributes"]
     corpus = data.load_embeddings(emb_path)
     attrs = data.load_attributes(attr_path)
@@ -198,6 +208,8 @@ def _meta_inputs(v):
         pool = build_pool(corpus, attrs)
     except ValueError as exc:
         raise _mismatch(attr_path, emb_path, exc) from exc
+    sizes = v.get("support_sizes") or [mamlcfg.n_support]
+    check_episode_fits(emb_path, corpus, max(sizes) + mamlcfg.n_query)
 
     def fit(model, path):
         checks = [("attribute width", model.attr_dim, pool.attrs.shape[1], attr_path),
@@ -215,7 +227,7 @@ def _meta_inputs(v):
 
 
 def _cmd_maml(v, mamlcfg, kd, path, hist_path):
-    corpus, pool, teacher, _ = _meta_inputs(v)
+    corpus, pool, teacher, _ = _meta_inputs(v, mamlcfg)
     kd = kd if teacher else None
     student = init_fusion(pool.attrs.shape[1], corpus.dim, len(corpus.families), mamlcfg.seed)
     student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
@@ -229,7 +241,7 @@ def _cmd_maml(v, mamlcfg, kd, path, hist_path):
 
 
 def _cmd_eval(v, mamlcfg, kd, path):
-    corpus, pool, teacher, fit = _meta_inputs(v)
+    corpus, pool, teacher, fit = _meta_inputs(v, mamlcfg)
     kd = kd if teacher else None
     student = fit(FusionModel.load(v["student"]), v["student"])
     rows = evaluate_few_shot(student, pool, mamlcfg, v["episodes"],

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +29,61 @@ class DescriptionRecord:
     vector: np.ndarray
 
 
-@dataclass
 class Corpus:
     """The rows of one feature set, description embeddings or attribute
-    vectors, and the row layout every stage reads: `vectors`, a read-only
-    (n, dim) float64 matrix whose row i is `records[i].vector`; `rows`,
-    record id -> row; `labels`, each row's index into `families`."""
+    vectors, stored once as the columns every stage reads: `ids`; `labels`,
+    each row's index into `families` (the sorted label set unless given);
+    `rows`, record id -> row; and `vectors`, one read-only (n, dim) float64
+    matrix. `records` are made from them on demand."""
 
-    records: list
-    dim: int
-    families: list = field(default_factory=list)  # sorted label set
-    vectors: np.ndarray = field(init=False, repr=False)
-    rows: dict = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
+    def __init__(self, records, dim: int, families=None):
+        records = list(records)
+        for r in records:
+            if r.vector.shape != (dim,):
+                raise FormatError(f"record {r.id!r}: dim {r.vector.shape[0]} != corpus dim {dim}")
+        vectors = np.array([r.vector for r in records], dtype=np.float64).reshape(len(records), dim)
+        self._fill([r.id for r in records], [r.family for r in records], vectors, families)
 
-    def __post_init__(self):
-        if not self.families:
-            self.families = sorted({r.family for r in self.records})
+    @classmethod
+    def from_columns(cls, ids, row_families, vectors, families=None) -> "Corpus":
+        """Row i is (ids[i], row_families[i], vectors[i]); `vectors` is kept, read-only."""
+        return cls.__new__(cls)._fill(ids, row_families, vectors, families)
+
+    def _fill(self, ids, row_families, vectors, families) -> "Corpus":
+        self.ids, self.rows = tuple(ids), {}
+        self.families = list(families) if families else sorted(set(row_families))
         classes = self.class_index()
-        self.rows = {}
-        self.labels = np.empty(len(self.records), dtype=np.int64)
-        self.vectors = np.empty((len(self.records), self.dim))
-        for i, r in enumerate(self.records):
-            if r.vector.shape != (self.dim,):
-                raise FormatError(
-                    f"record {r.id!r}: dim {r.vector.shape[0]} != corpus dim {self.dim}"
-                )
-            first = self.rows.setdefault(r.id, i)
+        self.labels = np.empty(len(self.ids), dtype=np.int64)
+        for i, (rid, fam) in enumerate(zip(self.ids, row_families)):
+            first = self.rows.setdefault(rid, i)
             if first != i:
-                raise FormatError(f"duplicate record id {r.id!r} at rows {first} and {i}")
-            if r.family not in classes:
-                raise FormatError(f"record {r.id!r}: family {r.family!r} is not a corpus family")
-            self.labels[i] = classes[r.family]
-            self.vectors[i] = r.vector
+                raise FormatError(f"duplicate record id {rid!r} at rows {first} and {i}")
+            if fam not in classes:
+                raise FormatError(f"record {rid!r}: family {fam!r} is not a corpus family")
+            self.labels[i] = classes[fam]
+        self.vectors = np.asarray(vectors, dtype=np.float64)
+        self.dim = self.vectors.shape[1]
         self.vectors.flags.writeable = False
+        return self
+
+    def take(self, rows, vectors=None) -> "Corpus":
+        """The given rows in that order, with `vectors` in place of theirs if given."""
+        return Corpus.from_columns([self.ids[i] for i in rows],
+                                   [self.families[self.labels[i]] for i in rows],
+                                   self.vectors[rows] if vectors is None else vectors,
+                                   self.families)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
+
+    def record(self, i: int) -> DescriptionRecord:
+        """Row i as a record whose `vector` is a read-only view of `vectors[i]`."""
+        return DescriptionRecord(self.ids[i], self.families[self.labels[i]], self.vectors[i])
+
+    @property
+    def records(self) -> list:
+        """A new list of every row as a `record`."""
+        return [self.record(i) for i in range(len(self))]
 
     def by_family(self) -> dict:
         out = {f: [] for f in self.families}
@@ -117,15 +135,15 @@ def write_embeddings(path, corpus: Corpus) -> None:
     finite = np.isfinite(payload).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise ValueError(f"{path}: record {bad} ({corpus.records[bad].id!r}): "
+        raise ValueError(f"{path}: record {bad} ({corpus.ids[bad]!r}): "
                          "non-finite value as float32")
     with replace_file(path) as fh:
         fh.write(EMB1_MAGIC)
-        fh.write(struct.pack("<II", len(corpus.records), corpus.dim))
+        fh.write(struct.pack("<II", len(corpus), corpus.dim))
         fh.write(payload.tobytes())
-        for r in corpus.records:
-            fh.write(json.dumps({"id": r.id, "family": r.family}, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
+        for rid, label in zip(corpus.ids, corpus.labels.tolist()):
+            meta = {"id": rid, "family": corpus.families[label]}
+            fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
 
 
 def _read_emb1(path) -> Corpus:
@@ -142,30 +160,21 @@ def _read_emb1(path) -> Corpus:
         raise FormatError(f"{path}: no records")
     payload_end = 12 + 4 * n * d
     if len(raw) < payload_end:
-        raise FormatError(
-            f"{path}: truncated payload at byte {len(raw)}, expected {payload_end}"
-        )
+        raise FormatError(f"{path}: truncated payload at byte {len(raw)}, expected {payload_end}")
     vectors = np.frombuffer(raw[12:payload_end], dtype="<f4").reshape(n, d)
     if not np.isfinite(vectors).all():
         bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0][0])
         raise FormatError(f"{path}: non-finite value in record {bad}")
-    lines = raw[payload_end:].split(b"\n")
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in raw[payload_end:].split(b"\n") if ln.strip()]
     if len(lines) != n:
         raise FormatError(f"{path}: trailer has {len(lines)} lines, expected {n}")
-    records = [
-        DescriptionRecord(*_json_line(path, f"trailer line {i}", ln, _trailer_ids),
-                          vectors[i].astype(np.float64))
-        for i, ln in enumerate(lines)
-    ]
+    ids, families = zip(*(_json_line(path, f"trailer line {i}", ln,
+                                     lambda meta: (str(meta["id"]), str(meta["family"])))
+                          for i, ln in enumerate(lines)))
     try:
-        return Corpus(records, d)
+        return Corpus.from_columns(ids, families, vectors.astype(np.float64))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def _trailer_ids(meta) -> tuple:
-    return str(meta["id"]), str(meta["family"])
 
 
 def load_embeddings(path) -> Corpus:
@@ -186,22 +195,22 @@ def write_attributes(path, table: Corpus) -> None:
     if not len(table):
         raise ValueError("no attribute records to write")
     write_csv(path, ["id", "family"] + [f"f{i}" for i in range(table.dim)],
-              ([r.id, r.family] + [repr(v) for v in row.tolist()]
-               for r, row in zip(table.records, table.vectors)))
+              ([rid, table.families[label]] + [repr(v) for v in row.tolist()]
+               for rid, label, row in zip(table.ids, table.labels.tolist(), table.vectors)))
 
 
 def attribute_rows(corpus: Corpus, table: Corpus) -> np.ndarray:
     """The row of `table` paired with each row of `corpus` by record id; the
     attribute row must carry its record's family."""
     rows = np.empty(len(corpus), dtype=np.int64)
-    for i, r in enumerate(corpus.records):
-        j = table.rows.get(r.id)
+    for i, (rid, label) in enumerate(zip(corpus.ids, corpus.labels.tolist())):
+        j = table.rows.get(rid)
         if j is None:
-            raise ValueError(f"record {r.id!r} has no attribute row")
-        family = table.records[j].family
-        if family != r.family:
-            raise ValueError(f"record {r.id!r}: attribute row family {family!r} "
-                             f"!= embedding family {r.family!r}")
+            raise ValueError(f"record {rid!r} has no attribute row")
+        family, own = table.families[table.labels[j]], corpus.families[label]
+        if family != own:
+            raise ValueError(f"record {rid!r}: attribute row family {family!r} "
+                             f"!= embedding family {own!r}")
         rows[i] = j
     return rows
 
@@ -266,7 +275,7 @@ def _read_feature_csv(path, id_family_first: bool) -> Corpus:
             feat_ix = [i for i in range(len(header)) if i not in (id_ix, fam_ix)]
             if not feat_ix:
                 raise FormatError(f"{path}: no feature columns")
-            records, first_row = [], {}
+            ids, families, values, first_row = [], [], [], {}
             for rownum, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise FormatError(
@@ -283,14 +292,16 @@ def _read_feature_csv(path, id_family_first: bool) -> Corpus:
                     raise FormatError(
                         f"{path}: duplicate id {row[id_ix]!r} at rows {first} and {rownum}"
                     )
-                records.append(DescriptionRecord(row[id_ix], row[fam_ix], vec))
+                ids.append(row[id_ix])
+                families.append(row[fam_ix])
+                values.append(vec)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not records:
+    if not ids:
         raise FormatError(f"{path}: no records")
-    return Corpus(records, len(feat_ix))
+    return Corpus.from_columns(ids, families, np.array(values))
 
 
 @dataclass
@@ -333,9 +344,7 @@ def generate_synthetic(spec: SyntheticSpec):
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    o = spec.inter_cluster_overlap
-    d = spec.embedding_dim
-    m = spec.attribute_dim
+    o, d, m = spec.inter_cluster_overlap, spec.embedding_dim, spec.attribute_dim
 
     g = _unit(rng, d)
     centroids = []
@@ -357,31 +366,25 @@ def generate_synthetic(spec: SyntheticSpec):
             else:
                 allowed[b].append(a)
 
-    records = []
-    attr_records = []
+    centroids = np.array(centroids)
+    ids, families, embs, attrs = [], [], [], []
     n = spec.records_per_family
     for f in range(nf):
         fam = f"family{f:02d}"
-        centroid = centroids[f]
         attr_centroid = rng.standard_normal(m)
         noise = rng.standard_normal((n, d)) * (spec.cluster_spread / math.sqrt(d))
         # a minority of records drift toward another family's centroid and
         # sit near (or beyond) the inter-family boundary; the rest are typical
         hard_mask = (rng.random(n) < DRIFT_FRACTION) & (len(allowed[f]) > 0)
-        beta = np.where(
-            hard_mask,
-            rng.uniform(DRIFT_LO, DRIFT_HI, n),
-            rng.uniform(0.0, 0.05, n),
-        )
-        choices = allowed[f] if allowed[f] else [f]
-        target = rng.choice(choices, size=n)
-        attr_noise = rng.standard_normal((n, m)) * spec.attribute_spread
-        for i in range(n):
-            rid = f"{fam}-{i:04d}"
-            vec = (1.0 - beta[i]) * centroid + beta[i] * centroids[target[i]] + noise[i]
-            records.append(DescriptionRecord(rid, fam, vec))
-            attr_records.append(DescriptionRecord(rid, fam, attr_centroid + attr_noise[i]))
-    return Corpus(records, d), Corpus(attr_records, m)
+        beta = np.where(hard_mask, rng.uniform(DRIFT_LO, DRIFT_HI, n), rng.uniform(0.0, 0.05, n))
+        target = rng.choice(allowed[f] or [f], size=n)
+        embs.append((1.0 - beta)[:, None] * centroids[f] + beta[:, None] * centroids[target]
+                    + noise)
+        attrs.append(attr_centroid + rng.standard_normal((n, m)) * spec.attribute_spread)
+        ids += [f"{fam}-{i:04d}" for i in range(n)]
+        families += [fam] * n
+    return (Corpus.from_columns(ids, families, np.concatenate(embs)),
+            Corpus.from_columns(ids, families, np.concatenate(attrs)))
 
 
 DRIFT_FRACTION = 0.55
@@ -408,10 +411,5 @@ def split_meta(corpus: Corpus, attributes: Corpus, holdout_fraction: float, seed
         for i, row in enumerate(fam_rows.tolist()):
             (test_rows if i in test_ix else train_rows).append(row)
 
-    def pool(rows):
-        def table(source, ix):
-            return Corpus([source.records[i] for i in ix], source.dim, families=list(corpus.families))
-
-        return table(corpus, rows), table(attributes, attr_rows[rows].tolist())
-
-    return pool(train_rows), pool(test_rows)
+    return tuple((corpus.take(rows), corpus.take(rows, attributes.vectors[attr_rows[rows]]))
+                 for rows in (train_rows, test_rows))

@@ -69,6 +69,14 @@ def build_pool(corpus: Corpus, attributes: Corpus) -> Batch:
                  corpus.vectors, corpus.labels)
 
 
+def check_episode_fits(where: str, corpus: Corpus, need: int) -> None:
+    """Raise "<where>: family ..." unless each family has the `need` rows of an episode."""
+    counts = np.bincount(corpus.labels, minlength=len(corpus.families))
+    for fam, count in zip(corpus.families, counts.tolist()):
+        if count < need:
+            raise ValueError(f"{where}: family {fam!r} has {count} records, episode needs {need}")
+
+
 def sample_episode(pool: Batch, cfg: MamlConfig, seed: int) -> Episode:
     """Uniform without-replacement support/query draw per family: one
     permutation of each label's rows, labels in ascending order."""

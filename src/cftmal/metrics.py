@@ -11,7 +11,7 @@ from . import cft, mining
 from .data import Corpus, SyntheticSpec, generate_synthetic, split_meta, write_csv
 from .distill import KdConfig
 from .fusion import init_fusion, init_teacher, teacher_train
-from .meta import MamlConfig, build_pool, evaluate_few_shot, maml_train
+from .meta import MamlConfig, build_pool, check_episode_fits, evaluate_few_shot, maml_train
 from .similarity import normalize_rows
 
 METHODS = ("attributes_only", "pretrained_embeddings", "random_cft", "similarity_cft")
@@ -113,7 +113,7 @@ def project_2d(corpus: Corpus):
     Sign convention: the largest-magnitude loading of each component is
     positive. Returns a list of (id, family, x, y).
     """
-    if len(corpus.records) < 2:
+    if len(corpus) < 2:
         raise ValueError("need at least 2 records")
     x = corpus.vectors - corpus.vectors.mean(axis=0)
     _, s, vt = np.linalg.svd(x, full_matrices=False)
@@ -127,10 +127,8 @@ def project_2d(corpus: Corpus):
         if comps[i, j] < 0:
             comps[i] = -comps[i]
     coords = x @ comps.T
-    return [
-        (r.id, r.family, float(coords[i, 0]), float(coords[i, 1]))
-        for i, r in enumerate(corpus.records)
-    ]
+    return [(rid, corpus.families[label], px, py) for rid, label, (px, py)
+            in zip(corpus.ids, corpus.labels.tolist(), coords.tolist())]
 
 
 def projection_to_csv(path, rows) -> None:
@@ -176,14 +174,6 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def _check_episode_fits(name: str, pool: Corpus, need: int) -> None:
-    """Raise unless every family of the pool has `need` records for one episode."""
-    counts = np.bincount(pool.labels, minlength=len(pool.families))
-    for fam, count in zip(pool.families, counts.tolist()):
-        if count < need:
-            raise ValueError(f"{name} pool: family {fam!r} has {count} records, episode needs {need}")
-
-
 def run_pipeline(method: str, corpus: Corpus, attributes: Corpus, settings: AblationSettings,
                  seed: int) -> dict:
     """One end-to-end run: split -> (mine -> cft -> refine) -> teacher ->
@@ -203,8 +193,8 @@ def _run_seed(methods, corpus: Corpus, attributes: Corpus, settings: AblationSet
             corpus, attributes, settings.holdout_fraction, seed
         )
         need = settings.maml.n_support + settings.maml.n_query
-        _check_episode_fits("train", train_c, need)  # MAML samples its episodes here
-        _check_episode_fits("meta-test", test_c, need)  # and eval here
+        check_episode_fits("train pool", train_c, need)  # MAML samples its episodes here
+        check_episode_fits("meta-test pool", test_c, need)  # and eval here
         raw_gap = separation_gap(train_c)
     if {"random_cft", "similarity_cft"} & set(methods):
         with _stage("mine"):
@@ -229,7 +219,7 @@ def _run_seed(methods, corpus: Corpus, attributes: Corpus, settings: AblationSet
             with _stage("cft"):
                 head, _ = cft.train_adapter(samples, train_c, replace(settings.cft, seed=seed))
                 refined_train = cft.refine(head, train_c)
-                refined_test = cft.refine(head, test_c) if len(test_c.records) else test_c
+                refined_test = cft.refine(head, test_c)
                 out["refined_gap"] = separation_gap(refined_train)
         with _stage("pool"):
             train_pool = build_pool(refined_train, train_a)

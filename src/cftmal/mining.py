@@ -83,7 +83,7 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     if not rows:
         raise ValueError(f"unknown family {family!r}")
     if len(rows) == 1:
-        return PositiveSelection(family, corpus.records[rows[0]])
+        return PositiveSelection(family, corpus.record(rows[0]))
     normed = normalize_rows(corpus.vectors[rows])[0]
     # row sums of the family's cosine Gram: each unit row against their sum
     means = (normed @ normed.sum(axis=0) - 1.0) / (len(rows) - 1)
@@ -91,37 +91,35 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     # a 2-record family always are): within MEDOID_TIE of the best is a tie,
     # and the largest id among the tied wins
     tied = np.flatnonzero(means >= means.max() - MEDOID_TIE).tolist()
-    best = max(tied, key=lambda i: corpus.records[rows[i]].id)
-    return PositiveSelection(family, corpus.records[rows[best]])
+    best = max(tied, key=lambda i: corpus.ids[rows[i]])
+    return PositiveSelection(family, corpus.record(rows[best]))
 
 
 def select_positives(corpus: Corpus) -> dict:
     return {f: select_positive(corpus, f) for f in corpus.families}
 
 
-def _foreign_similarities(corpus: Corpus, positive: PositiveSelection):
-    """(record, similarity) for every record outside the positive's family."""
-    own = corpus.class_index().get(positive.family, -1)
+def _foreign_similarities(corpus: Corpus, positives: dict, family: str):
+    """(id, family, cosine to the family's positive) of every record outside `family`."""
+    if family not in positives:
+        raise ValueError(f"no positive selected for family {family!r}")
+    own = corpus.class_index().get(family, -1)
     foreign = np.flatnonzero(corpus.labels != own).tolist()
-    if not foreign:
-        return []
     normed = normalize_rows(corpus.vectors[foreign])[0]
-    e = positive.embedding
+    e = positives[family].embedding
     n = np.linalg.norm(e)
     en = e / n if n > 0 else e
     # a foreign copy of the positive's direction may round to just past ±1
     sims = np.clip(normed @ en, -1.0, 1.0)
-    return [(corpus.records[i], s) for i, s in zip(foreign, sims.tolist())]
+    return [(corpus.ids[i], corpus.families[label], s)
+            for i, label, s in zip(foreign, corpus.labels[foreign].tolist(), sims.tolist())]
 
 
 def mine_negatives(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig) -> NegativeSet:
     """Hard/diverse negative tiers for one family (similarity-ranked)."""
     cfg.validate()
-    if family not in positives:
-        raise ValueError(f"no positive selected for family {family!r}")
-    pos = positives[family]
-    scored = _foreign_similarities(corpus, pos)
-    candidates = [(r, s) for r, s in scored if s <= cfg.threshold]
+    scored = _foreign_similarities(corpus, positives, family)
+    candidates = [c for c in scored if c[2] <= cfg.threshold]
     need = cfg.n_hard + cfg.n_diverse
     if len(candidates) < need:
         raise ShortageError(
@@ -129,12 +127,12 @@ def mine_negatives(corpus: Corpus, positives: dict, family: str, cfg: MiningConf
             f"threshold {cfg.threshold}, need {need} "
             f"({cfg.n_hard} hard + {cfg.n_diverse} diverse)"
         )
-    candidates.sort(key=lambda rs: (-rs[1], rs[0].family, rs[0].id))
-    hard = [(r.id, s) for r, s in candidates[: cfg.n_hard]]
+    candidates.sort(key=lambda c: (-c[2], c[1], c[0]))
+    hard = [(rid, s) for rid, _, s in candidates[: cfg.n_hard]]
     rest = candidates[cfg.n_hard :]
     rng = _family_rng(cfg.seed, family, "mine")
     pick = rng.choice(len(rest), size=cfg.n_diverse, replace=False)
-    diverse = [(rest[i][0].id, rest[i][1]) for i in sorted(pick.tolist())]
+    diverse = [(rest[i][0], rest[i][2]) for i in sorted(pick.tolist())]
     return NegativeSet(family, hard, diverse, cfg.threshold)
 
 
@@ -147,9 +145,7 @@ def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig)
     drawn set).
     """
     cfg.validate()
-    if family not in positives:
-        raise ValueError(f"no positive selected for family {family!r}")
-    scored = _foreign_similarities(corpus, positives[family])
+    scored = _foreign_similarities(corpus, positives, family)
     need = cfg.n_hard + cfg.n_diverse
     if len(scored) < need:
         raise ShortageError(
@@ -158,9 +154,9 @@ def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig)
     rng = _family_rng(cfg.seed, family, "random")
     pick = rng.choice(len(scored), size=need, replace=False)
     chosen = [scored[i] for i in pick.tolist()]
-    chosen.sort(key=lambda rs: (-rs[1], rs[0].family, rs[0].id))
-    hard = [(r.id, s) for r, s in chosen[: cfg.n_hard]]
-    diverse = [(r.id, s) for r, s in chosen[cfg.n_hard :]]
+    chosen.sort(key=lambda c: (-c[2], c[1], c[0]))
+    hard = [(rid, s) for rid, _, s in chosen[: cfg.n_hard]]
+    diverse = [(rid, s) for rid, _, s in chosen[cfg.n_hard :]]
     return NegativeSet(family, hard, diverse, 1.0)
 
 
@@ -242,10 +238,8 @@ def similarity_histogram(corpus: Corpus, positives: dict, family: str, n_bins: i
     """Histogram of foreign-record similarities to the family positive."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    if family not in positives:
-        raise ValueError(f"no positive selected for family {family!r}")
-    scored = _foreign_similarities(corpus, positives[family])
-    sims = np.array([s for _, s in scored], dtype=np.float64)
+    scored = _foreign_similarities(corpus, positives, family)
+    sims = np.array([s for _, _, s in scored], dtype=np.float64)
     counts, edges = np.histogram(sims, bins=n_bins, range=(-1.0, 1.0))
     return edges, counts
 

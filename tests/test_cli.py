@@ -134,7 +134,8 @@ def test_config_fields_without_a_flag_still_read_the_ini(tmp_path, capsys):
                "--attributes", str(out / "attributes.csv"), "--student", str(out / "student.fus1"),
                "--episodes", "1")
     assert code == 1
-    assert "has 40 samples, episode needs 45" in capsys.readouterr().err
+    assert (f"{out / 'embeddings.emb1'}: family 'family00' has 40 records, episode needs 45"
+            in capsys.readouterr().err)
 
 
 def test_stage_config_precedence_flag_then_ini_then_default():
@@ -343,7 +344,32 @@ MISMATCHES = {
         "eval", [("embeddings", "four", "embeddings.emb1"), ("attributes", "four", "attributes.csv"),
                  ("student", "a", "student.fus1")],
         ["student", "embeddings"], "class count 3 in the model, 4 in the input"),
+    "ingest-attribute-families": (
+        "ingest", [("embeddings", "a", "embeddings.emb1"), ("attributes", "four", "attributes.csv")],
+        ["attributes", "embeddings"], "families family00, family01, family02, family03 in the "
+                                      "attributes, family00, family01, family02 in the embeddings"),
+    "ingest-missing-attribute-rows": (
+        "ingest", [("embeddings", "a", "embeddings.emb1"), ("attributes", "short", "attributes.csv")],
+        ["attributes", "embeddings"], "record 'family00-0020' has no attribute row"),
 }
+
+
+@pytest.mark.parametrize("stage, options, output", [
+    ("maml", ["--n-support", "25"], "student.fus1"),
+    ("eval", ["--support-sizes", "1,25"], "eval.csv"),
+], ids=["maml", "eval"])
+def test_episode_too_large_names_embeddings_and_family(mismatched, tmp_path, capsys,
+                                                      stage, options, output):
+    """30 records a family cannot fill an episode of 25 support + 20 query rows."""
+    a = mismatched / "a"
+    emb = a / "embeddings.emb1"
+    student = ["--student", str(a / "student.fus1")] if stage == "eval" else []
+    capsys.readouterr()
+    assert run(stage, "--out", str(tmp_path), "--embeddings", str(emb),
+               "--attributes", str(a / "attributes.csv"), *student, *options) == 1
+    assert (f"cftmal {stage}: error: {emb}: family 'family00' has 30 records, episode needs 45"
+            in capsys.readouterr().err)
+    assert not (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("case", list(MISMATCHES))
@@ -359,6 +385,7 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
     assert code == 1
     first, second = (paths[flag] for flag in named)
     assert f"cftmal {stage}: error: {first} does not fit {second}: {detail}" in err
+    assert list(tmp_path.iterdir()) == []  # rejected before any output is written
 
 
 @pytest.mark.parametrize("stage, inputs, count, option, output", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cftmal.cft import init_adapter, refine
 from cftmal.data import (
     Corpus,
     DescriptionRecord,
@@ -75,6 +76,40 @@ def test_corpus_rejects_duplicate_ids():
     records[4] = DescriptionRecord("r1", "fam0", records[4].vector)
     with pytest.raises(FormatError, match="duplicate record id 'r1' at rows 1 and 4"):
         Corpus(records, 4)
+
+
+def test_records_are_read_only_views_of_the_one_matrix(tmp_path):
+    """Every producer stores each row once, in `vectors`: a record's vector is
+    a read-only view of its row, made when `records` is read."""
+    corpus = small_corpus(np.random.default_rng(3))
+    write_embeddings(tmp_path / "c.emb1", corpus)
+    write_csv(tmp_path / "c.csv", ["id", "family", "v0", "v1", "v2", "v3"],
+              ([r.id, r.family] + [repr(v) for v in r.vector.tolist()] for r in corpus.records))
+    write_attributes(tmp_path / "a.csv", corpus)
+    synth, attrs = generate_synthetic(SyntheticSpec(n_families=2, records_per_family=8,
+                                                    embedding_dim=4, attribute_dim=3))
+    (train_c, train_a), (test_c, test_a) = split_meta(synth, attrs, 0.25, seed=0)
+    produced = {
+        "Corpus(records, dim)": corpus,
+        "load_embeddings EMB1": load_embeddings(tmp_path / "c.emb1"),
+        "load_embeddings CSV": load_embeddings(tmp_path / "c.csv"),
+        "load_attributes": load_attributes(tmp_path / "a.csv"),
+        "generate_synthetic corpus": synth,
+        "generate_synthetic attributes": attrs,
+        "split_meta train corpus": train_c,
+        "split_meta train attributes": train_a,
+        "split_meta meta-test corpus": test_c,
+        "split_meta meta-test attributes": test_a,
+        "refine": refine(init_adapter(4, 8, 4, seed=0), synth),
+    }
+    for name, c in produced.items():
+        records = c.records
+        assert len(records) == len(c) > 0, name
+        for i, r in enumerate(records):
+            assert np.shares_memory(r.vector, c.vectors), (name, i)
+            assert not r.vector.flags.writeable, (name, i)
+            np.testing.assert_array_equal(r.vector, c.vectors[i])
+            assert (r.id, r.family) == (c.ids[i], c.families[c.labels[i]])
 
 
 def test_emb1_roundtrip_bit_exact(tmp_path):

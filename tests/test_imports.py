@@ -138,13 +138,17 @@ def test_record_vectors_are_stacked_in_data_only():
     rebuild that matrix, or part of it, on its own. Likewise `Corpus.rows`
     maps ids to rows and `data.attribute_rows` pairs attribute rows with
     corpus rows; a dict comprehension keyed on record `.id`s anywhere else
-    would pair rows by id a second time."""
+    would pair rows by id a second time. And a `Corpus` stores each row once,
+    as columns; its `records` are row views made on demand, so any module but
+    `data` reads the columns, never `.records`."""
     offenders = set()  # a set: nested comprehensions walk the same node twice
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "data":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "records":
+                offenders.add(f"{path.stem}:{node.lineno} reads .records")
             if isinstance(node, COMPREHENSIONS):
                 offenders |= {f"{path.stem}:{t.lineno} reads .vector in a comprehension"
                               for t in ast.walk(node)
