@@ -18,7 +18,6 @@ from .fusion import FusionModel, TeacherModel, init_fusion, init_teacher, teache
 from .meta import Batch, Episode, MamlConfig, build_pool, evaluate_few_shot, inner_adapt, maml_train, meta_step, sample_episode
 from .metrics import AblationSettings, embedding_quality, project_2d, run_ablation, run_pipeline
 from .mining import (
-    ContrastiveSample,
     MiningConfig,
     NegativeSet,
     PositiveSelection,
@@ -28,6 +27,7 @@ from .mining import (
     mine_all,
     mine_negatives,
     mine_random,
+    sample_table,
     select_positive,
     select_positives,
     similarity_histogram,

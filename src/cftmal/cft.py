@@ -135,36 +135,32 @@ def info_nce(anchor, positive, negatives, tau: float):
     return loss, ga[0], gp[0], list(gn[0])
 
 
-def _resolve(corpus: Corpus, samples) -> np.ndarray:
-    """(n, 2 + k) corpus rows of each sample's anchor, positive and k negatives."""
-    try:
-        return np.array([[corpus.rows[rid] for rid in (s.anchor, s.positive, *s.negatives)]
-                         for s in samples], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"unresolvable record ref {exc.args[0]!r}") from None
-
-
 def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
-    """AdamW-train the adapter on contrastive samples.
+    """AdamW-train the adapter on a sample table of `corpus` rows
+    (`mining.sample_table`).
 
     Returns (head, trace) where trace is a list of (batch_index, mean_loss).
     """
     cfg.validate()
-    if not samples:
+    if not len(samples):
         raise ValueError("no training samples")
+    for col in (samples.anchor, samples.positive, samples.negatives):
+        if col.size and (col.min() < 0 or col.max() >= len(corpus)):
+            raise ValueError(f"sample rows must lie in [0, {len(corpus)})")
     head = init_adapter(corpus.dim, cfg.hidden_dim, cfg.output_dim, cfg.seed)
-    sample_rows = _resolve(corpus, samples)
-    n, k = sample_rows.shape[0], sample_rows.shape[1] - 2
+    # one copy of the corpus in the parameters' dtype, gathered from by every batch
+    table = corpus.vectors.astype(head.params.dtype)
+    n, k = len(samples), samples.negatives.shape[1]
     opt = adamw_init(head.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = []
     batch_index = 0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 0xC47, epoch]).permutation(n)
         for start in range(0, n, cfg.batch_size):
-            rows = sample_rows[order[start : start + cfg.batch_size]]
-            bsz = len(rows)
+            batch = samples[order[start : start + cfg.batch_size]]
+            bsz = len(batch)
             # the batch's anchors, then its positives, then its negatives
-            flat = corpus.vectors[np.concatenate([rows[:, 0], rows[:, 1], rows[:, 2:].ravel()])]
+            flat = table[np.concatenate([batch.anchor, batch.positive, batch.negatives.ravel()])]
             out, cache = head.forward_cache(flat)
             za = out[:bsz]
             zp = out[bsz : 2 * bsz]

@@ -156,18 +156,18 @@ def _cmd_samples(v, mcfg, path):
             if rid not in corpus.rows:
                 raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
     samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
-    mining.samples_to_jsonl(path, samples)
+    mining.samples_to_jsonl(path, samples, corpus)
     return f"{len(samples)} contrastive samples ({mcfg.samples_per_anchor} per anchor) -> {path}"
 
 
 def _cmd_train_cft(v, ccfg, adapter_path, trace_path):
     emb_path, samples_path = v["embeddings"], v["samples"]
     corpus = data.load_embeddings(emb_path)
-    samples = mining.samples_from_jsonl(samples_path)
-    for i, s in enumerate(samples, start=1):
-        missing = [rid for rid in (s.anchor, s.positive, *s.negatives) if rid not in corpus.rows]
-        if missing:
-            raise _mismatch(samples_path, emb_path, f"sample {i}: no record {missing[0]!r}")
+    try:
+        samples = mining.samples_from_jsonl(samples_path, corpus)
+    except mining.MissingRecord as exc:
+        raise _mismatch(samples_path, emb_path,
+                        f"sample {exc.sample}: no record {exc.record!r}") from exc
     head, trace = cft.train_adapter(samples, corpus, ccfg)
     head.save(adapter_path)
     cft.loss_trace_to_csv(trace_path, trace)

@@ -41,6 +41,7 @@ from .numeric import (
     chain_backward_jvp,
     chain_forward,
     chain_forward_jvp,
+    chain_output,
     chain_params,
     init_dense,
     n_params,
@@ -152,7 +153,10 @@ class FusionModel:
         return logits, (caches, ch)
 
     def forward(self, attrs, embs=None):
-        return self.forward_cache(attrs, embs)[0]
+        """`forward_cache`'s logits, keeping no caches: an inference pass
+        holds one activation per branch at a time."""
+        outs = [chain_output(branch, x) for branch, x in zip(self.branches, (attrs, embs))]
+        return chain_output(self.head, _concat(outs))
 
     def backward(self, cache, grad_logits):
         """Flat gradient vector laid out like `params`."""
@@ -260,8 +264,9 @@ def teacher_train(attributes: Corpus, lr: float = 1e-3, epochs: int = 40, seed: 
         raise ValueError("teacher_epochs must be >= 1")
     if not math.isfinite(lr) or lr <= 0.0:
         raise ValueError("teacher_lr must be > 0")
-    attrs, labels = attributes.vectors, attributes.labels
     teacher = init_teacher(attributes.dim, len(attributes.families), seed)
+    # one copy of the table in the parameters' dtype, gathered from by every batch
+    attrs, labels = attributes.vectors.astype(teacher.params.dtype), attributes.labels
     opt = adamw_init(teacher.params, lr=lr, weight_decay=TEACHER_WEIGHT_DECAY)
     trace = []
     n = len(attributes)

@@ -112,7 +112,8 @@ def _adapt(model, batch, inner_steps: int, inner_lr: float):
     for _ in range(inner_steps):
         loss, grads = adapted.loss_and_grads(attrs, embs, labels, kd=kd)
         losses.append(loss)
-        adapted.params -= inner_lr * grads
+        grads *= inner_lr
+        adapted.params -= grads
     return adapted, losses
 
 
@@ -203,10 +204,14 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
     losses, accs = [], []
     for ep in episodes:  # fixed task order keeps the reduction deterministic
         g, q_loss, q_acc = _task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
-        grads = g if grads is None else grads + g
+        if grads is None:
+            grads = g  # a new vector each task, so summed into in place
+        else:
+            grads += g
         losses.append(q_loss)
         accs.append(q_acc)
-    adamw_step(opt_state, model.params, grads / len(episodes))
+    grads /= len(episodes)
+    adamw_step(opt_state, model.params, grads)
     return opt_state, float(np.mean(losses)), float(np.mean(accs))
 
 

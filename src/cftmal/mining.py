@@ -6,6 +6,12 @@ below the similarity cap are sorted descending; the top tier becomes the
 hard negatives and a random draw from the strictly lower-ranked remainder
 becomes the diverse tier. Each anchor then yields several contrastive
 samples mixing hard and diverse negatives.
+
+The samples of a corpus are one sample table (`sample_table`): a record
+array over one (n, 2 + k) intp matrix of corpus rows, each record
+[anchor, positive, k negatives] read as the fields `anchor`, `positive` and
+`negatives` (hard tier first, then diverse). Record ids appear only in the
+samples JSONL file, translated against the corpus on the way out and in.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .data import Corpus, DescriptionRecord, read_jsonl, write_csv, write_jsonl
+from .data import Corpus, DescriptionRecord, FormatError, read_jsonl, write_csv, write_jsonl
 from .similarity import normalize_rows
 
 
@@ -42,11 +48,24 @@ class NegativeSet:
     threshold: float
 
 
-@dataclass
-class ContrastiveSample:
-    anchor: str
-    positive: str
-    negatives: list  # 8 record ids: hard tier first, then diverse tier
+class MissingRecord(FormatError):
+    """A samples file names a record its corpus does not hold."""
+
+    def __init__(self, path, sample: int, record: str):
+        super().__init__(f"{path}: sample {sample}: no record {record!r}")
+        self.sample, self.record = sample, record
+
+
+def _records(n: int, k: int, dtype, *fields) -> np.recarray:
+    """n uninitialised records: one value per field in `fields`, then a
+    k-wide `negatives`, all of `dtype`."""
+    return np.recarray(n, dtype=[(f, dtype) for f in fields] + [("negatives", dtype, (k,))])
+
+
+def sample_table(n: int, k: int, dtype=np.intp) -> np.recarray:
+    """Room for n samples with k negatives each: the fields `anchor`,
+    `positive` and `negatives`, corpus rows (intp) or record ids (object)."""
+    return _records(n, k, dtype, "anchor", "positive")
 
 
 @dataclass
@@ -176,9 +195,14 @@ def mine_all(corpus: Corpus, positives: dict, cfg: MiningConfig, strategy: str) 
 
 
 def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
-                  cfg: MiningConfig) -> list:
-    """Assemble contrastive samples: per anchor, several distinct draws of
-    hard + diverse negatives."""
+                  cfg: MiningConfig) -> np.recarray:
+    """Contrastive draws of one family: per anchor, several distinct draws
+    of hard + diverse negatives.
+
+    Returns one record per sample: `anchor`, its position in `anchors`, and
+    `negatives`, positions in the tier list `negs.hard + negs.diverse`
+    (hard first, each tier in ascending order).
+    """
     cfg.validate()
     if cfg.samples_per_anchor < 1:
         raise ValueError("samples_per_anchor must be >= 1")
@@ -196,17 +220,18 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
             f"{len(negs.diverse)} diverse give fewer than {cfg.samples_per_anchor} "
             f"distinct draws of {n_hard} + {n_diverse}"
         )
-    hard_ids = [rid for rid, _ in negs.hard]
-    diverse_ids = [rid for rid, _ in negs.diverse]
     rng = _family_rng(cfg.seed, positive.family, "samples")
-    samples = []
+    draws = _records(len(anchors) * cfg.samples_per_anchor, n_hard + n_diverse, np.intp, "anchor")
+    draws.anchor = np.repeat(np.arange(len(anchors)), cfg.samples_per_anchor)
+    negatives = draws.negatives
+    j = 0
     for anchor in anchors:
         seen = set()
         for _ in range(cfg.samples_per_anchor):
             # redraw until this anchor's draws stay distinct
             for _attempt in range(64):
-                h = rng.choice(len(hard_ids), size=n_hard, replace=False)
-                d = rng.choice(len(diverse_ids), size=n_diverse, replace=False)
+                h = rng.choice(len(negs.hard), size=n_hard, replace=False)
+                d = rng.choice(len(negs.diverse), size=n_diverse, replace=False)
                 key = (frozenset(h.tolist()), frozenset(d.tolist()))
                 if key not in seen:
                     break
@@ -216,21 +241,31 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
                     f"all repeat one of its {len(seen)} earlier samples"
                 )
             seen.add(key)
-            negatives = [hard_ids[i] for i in sorted(h.tolist())]
-            negatives += [diverse_ids[i] for i in sorted(d.tolist())]
-            samples.append(ContrastiveSample(anchor.id, positive.record.id, negatives))
-    return samples
+            negatives[j, :n_hard] = np.sort(h)
+            negatives[j, n_hard:] = np.sort(d) + len(negs.hard)
+            j += 1
+    return draws
 
 
-def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) -> list:
-    """Contrastive samples for every negative set, in the order given;
-    each family's records are its anchors."""
+def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) -> np.recarray:
+    """The sample table (`sample_table`) of every negative set, in the order
+    given; each family's records are its anchors, and each family's draws
+    are filled in from the corpus rows of its records and tiers."""
     by_family = corpus.by_family()
-    samples = []
     for ns in sets:
         if ns.family not in by_family:
             raise ValueError(f"negative set for unknown family {ns.family!r}")
-        samples += build_samples(by_family[ns.family], positives[ns.family], ns, cfg)
+    k = cfg.negatives_hard_per_sample + cfg.negatives_diverse_per_sample
+    samples = sample_table(sum(len(by_family[ns.family]) for ns in sets) * cfg.samples_per_anchor, k)
+    classes, at = corpus.class_index(), 0
+    for ns in sets:
+        draws = build_samples(by_family[ns.family], positives[ns.family], ns, cfg)
+        block = samples[at : at + len(draws)]
+        at += len(draws)
+        block.anchor = np.flatnonzero(corpus.labels == classes[ns.family])[draws.anchor]
+        block.positive = corpus.rows[positives[ns.family].record.id]
+        tier_rows = np.array([corpus.rows[rid] for rid, _ in ns.hard + ns.diverse], dtype=np.intp)
+        block.negatives = tier_rows[draws.negatives]
     return samples
 
 
@@ -284,18 +319,50 @@ def negative_sets_from_jsonl(path) -> list:
     ))
 
 
-def samples_to_jsonl(path, samples) -> None:
-    write_jsonl(path, ({"anchor": s.anchor, "positive": s.positive, "negatives": s.negatives}
-                       for s in samples))
+def samples_to_jsonl(path, samples, corpus: Corpus) -> None:
+    """A sample table of `corpus` rows as one line of record ids per sample."""
+    ids = corpus.ids
+    write_jsonl(path, ({"anchor": ids[a], "positive": ids[p], "negatives": [ids[r] for r in negs]}
+                       for a, p, negs in zip(samples.anchor.tolist(), samples.positive.tolist(),
+                                             samples.negatives.tolist())))
 
 
-def samples_from_jsonl(path) -> list:
-    return read_jsonl(path, lambda d: ContrastiveSample(
-        _typed(d["anchor"], str, "anchor"),
-        _typed(d["positive"], str, "positive"),
-        [_typed(n, str, f"negatives[{i}]")
-         for i, n in enumerate(_typed(d["negatives"], list, "negatives"))],
-    ))
+def samples_from_jsonl(path, corpus: Corpus | None = None) -> np.recarray:
+    """The sample table of a samples file: the rows of `corpus` its ids
+    name, or without a corpus the record ids themselves (object fields).
+
+    Every line lists as many negatives as the first, and at least one;
+    a line that does not raises FormatError "<path>: line <n>: ...". An id
+    `corpus` does not hold raises MissingRecord "<path>: sample <i>: no
+    record <id>" for the first such id, once every line has parsed.
+    """
+    widths, missing = [], []
+
+    def parse(d):
+        ids = [_typed(d["anchor"], str, "anchor"), _typed(d["positive"], str, "positive")]
+        ids += [_typed(n, str, f"negatives[{i}]")
+                for i, n in enumerate(_typed(d["negatives"], list, "negatives"))]
+        if len(ids) == 2:
+            raise ValueError("negatives is empty")
+        if widths and len(ids) != widths[0]:
+            raise ValueError(f"{len(ids) - 2} negatives, the first sample has {widths[0] - 2}")
+        widths.append(len(ids))
+        if corpus is None:
+            return ids
+        rows = [corpus.rows.get(rid, -1) for rid in ids]
+        if -1 in rows and not missing:
+            missing.append((len(widths), ids[rows.index(-1)]))
+        return rows
+
+    lines = read_jsonl(path, parse)
+    if missing:
+        raise MissingRecord(path, *missing[0])
+    dtype = object if corpus is None else np.intp
+    samples = sample_table(len(lines), widths[0] - 2 if lines else 0, dtype)
+    if lines:
+        matrix = np.array(lines, dtype=dtype)
+        samples.anchor, samples.positive, samples.negatives = matrix[:, 0], matrix[:, 1], matrix[:, 2:]
+    return samples
 
 
 def histogram_to_csv(path, edges, counts) -> None:

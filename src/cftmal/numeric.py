@@ -79,17 +79,24 @@ def _preactivation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     x = _as_matrix(x, "x", layer.weights.dtype)
     if x.shape[1] != layer.in_dim:
         raise ShapeError(f"input dim {x.shape[1]} != layer in dim {layer.in_dim}")
-    return x @ layer.weights.T + layer.bias
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
+    z = x @ layer.weights.T
+    z += layer.bias
     return z
 
 
+def _layer_step(layer: DenseLayer, x):
+    """(x as the layer reads it, the layer's output). Relu runs in place on
+    the pre-activation, so its output is also its backward mask source:
+    relu(z) > 0 holds exactly where z > 0, NaN and -0.0 included."""
+    x = _as_matrix(x, "x", layer.weights.dtype)
+    out = _preactivation(layer, x)
+    if layer.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return x, out
+
+
 def layer_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    return _activate(_preactivation(layer, x), layer.activation)
+    return _layer_step(layer, x)[1]
 
 
 def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np.ndarray | None = None,
@@ -97,8 +104,9 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
     """Gradients of layer_forward.
 
     Returns (grad_weights, grad_bias, grad_input), the first two written
-    into `out`'s arrays if given. `z` may carry the cached pre-activation;
-    with input_grad False the input gradient is None.
+    into `out`'s arrays if given. `z` may carry the cached pre-activation or
+    the layer's output, whose positive entries are the same; with input_grad
+    False the input gradient is None.
     """
     x = _as_matrix(x, "x", layer.weights.dtype)
     upstream = _as_matrix(upstream, "upstream", layer.weights.dtype)
@@ -159,30 +167,49 @@ def adamw_init(params, lr=1e-3, weight_decay=0.01) -> AdamWState:
 
 
 def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One AdamW update of a flat parameter vector, in place. Mutates `state`."""
+    """One AdamW update of a flat parameter vector, in place. Mutates `state`.
+
+    The textbook sequence, operation for operation, through one scratch
+    vector and m_hat: two parameter-sized temporaries per step.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(f"shapes differ: {params.shape}, {grads.shape}, state {state.m.shape}")
     state.step += 1
+    scratch = np.multiply(1.0 - BETA1, grads)
     state.m *= BETA1
-    state.m += (1.0 - BETA1) * grads
+    state.m += scratch
+    np.multiply(1.0 - BETA2, grads, out=scratch)
+    scratch *= grads
     state.v *= BETA2
-    state.v += (1.0 - BETA2) * grads * grads
+    state.v += scratch
     m_hat = state.m / (1.0 - BETA1**state.step)
-    v_hat = state.v / (1.0 - BETA2**state.step)
+    v_hat = np.divide(state.v, 1.0 - BETA2**state.step, out=scratch)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += EPS
+    m_hat *= state.lr
+    m_hat /= v_hat
     params *= 1.0 - state.lr * state.weight_decay
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    params -= m_hat
 
 
 def chain_forward(layers, x):
-    """Run a layer stack, returning (output, caches) for chain_backward."""
+    """Run a layer stack, returning (output, caches) for chain_backward:
+    per layer its input as it read it and its output, the mask source of
+    relu. A relu layer's output is also the next layer's input, one array."""
     caches = []
     a = x
     for layer in layers:
-        a = _as_matrix(a, "x", layer.weights.dtype)  # cached as the layer reads it
-        z = _preactivation(layer, a)
-        caches.append((a, z))
-        a = _activate(z, layer.activation)
+        x_in, a = _layer_step(layer, a)
+        caches.append((x_in, a))
     return a, caches
+
+
+def chain_output(layers, x):
+    """chain_forward's output alone, from the same per-layer step: nothing
+    is kept, so each activation is freed once the next layer has read it."""
+    for layer in layers:
+        x = _layer_step(layer, x)[1]
+    return x
 
 
 def chain_params(layers):

@@ -15,7 +15,7 @@ from cftmal.cft import (
 )
 from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.fusion import PARAM_DTYPE
-from cftmal.mining import MiningConfig, build_samples, mine_negatives, select_positives
+from cftmal.mining import MiningConfig, build_all_samples, mine_all, select_positives
 from cftmal.numeric import (
     ShapeError,
     adamw_init,
@@ -312,11 +312,8 @@ def tiny_setup(seed=0, n_families=3, per_family=15, d=8):
     positives = select_positives(corpus)
     cfg = MiningConfig(threshold=1.0, n_hard=8, n_diverse=5, seed=seed,
                        negatives_hard_per_sample=3, negatives_diverse_per_sample=2)
-    samples = []
-    for fam in corpus.families:
-        ns = mine_negatives(corpus, positives, fam, cfg)
-        samples += build_samples(corpus.by_family()[fam], positives[fam], ns, cfg)
-    return corpus, samples
+    sets = mine_all(corpus, positives, cfg, "similarity")
+    return corpus, build_all_samples(corpus, positives, sets, cfg)
 
 
 def test_train_adapter_reduces_loss_and_is_deterministic():
@@ -347,8 +344,7 @@ def reference_train_adapter(samples, corpus, cfg):
     layers = [init_dense(corpus.dim, cfg.hidden_dim, "relu", rng),
               init_dense(cfg.hidden_dim, cfg.output_dim, "identity", rng)]
     params = rebind_params(layers, bind_params(layers).astype(PARAM_DTYPE))
-    rows = np.array([[corpus.rows[rid] for rid in (s.anchor, s.positive, *s.negatives)]
-                     for s in samples])
+    rows = np.column_stack([samples.anchor, samples.positive, samples.negatives])
     n, k = rows.shape[0], rows.shape[1] - 2
     opt = adamw_init(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = []
@@ -393,10 +389,11 @@ def test_train_adapter_validation():
                                   ("weight_decay", -0.5, "weight_decay must be >= 0")]:
         with pytest.raises(ValueError, match=message):
             train_adapter(samples, corpus, CftConfig(**{field: value}))
-    bad = samples[:1]
-    bad[0].negatives = ["missing-record"] + bad[0].negatives[1:]
-    with pytest.raises(ValueError, match="unresolvable"):
-        train_adapter(bad, corpus, CftConfig())
+    for field, row in [("anchor", -1), ("positive", len(corpus)), ("negatives", len(corpus))]:
+        bad = samples[:2].copy()
+        getattr(bad, field)[1] = row
+        with pytest.raises(ValueError, match=rf"sample rows must lie in \[0, {len(corpus)}\)"):
+            train_adapter(bad, corpus, CftConfig())
 
 
 def test_refine_outputs_unit_norm():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import warnings
 
@@ -352,6 +353,22 @@ MISMATCHES = {
         "ingest", [("embeddings", "a", "embeddings.emb1"), ("attributes", "short", "attributes.csv")],
         ["attributes", "embeddings"], "record 'family00-0020' has no attribute row"),
 }
+
+
+@pytest.mark.parametrize("keep", [4, 0], ids=["short", "empty"])
+def test_ragged_samples_line_names_file_and_line(mismatched, tmp_path, capsys, keep):
+    """Every samples line lists the first line's number of negatives, at least one."""
+    a = mismatched / "a"
+    lines = [json.loads(ln) for ln in (a / "samples.jsonl").read_text().splitlines()]
+    lines[2]["negatives"] = lines[2]["negatives"][:keep]
+    path = tmp_path / "ragged.jsonl"
+    path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
+    capsys.readouterr()
+    assert run("train-cft", "--out", str(tmp_path), "--embeddings", str(a / "embeddings.emb1"),
+               "--samples", str(path), "--hidden-dim", "8", "--output-dim", "8") == 1
+    detail = "4 negatives, the first sample has 5" if keep else "negatives is empty"
+    assert f"cftmal train-cft: error: {path}: line 3: {detail}" in capsys.readouterr().err
+    assert not (tmp_path / "adapter.adp1").exists()
 
 
 @pytest.mark.parametrize("stage, options, output", [

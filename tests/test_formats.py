@@ -23,12 +23,12 @@ from cftmal.data import (
     write_embeddings,
 )
 from cftmal.mining import (
-    ContrastiveSample,
     NegativeSet,
     negative_sets_from_jsonl,
     negative_sets_to_jsonl,
     samples_from_jsonl,
     samples_to_jsonl,
+    sample_table,
 )
 from cftmal.numeric import ACTIVATIONS, DenseLayer
 from cftmal.serial import read_layers, write_layers
@@ -94,6 +94,25 @@ def read_attribute_table(path):
             [r.vector.tolist() for r in records])
 
 
+# the samples file names records of a corpus: a fixed one whose ids need
+# escaping in JSON, and samples of K negatives each, rows into it
+SAMPLE_CORPUS = Corpus([DescriptionRecord(rid, "f", np.zeros(1))
+                        for rid in ["a", "", "é", 'q"uote', "back\\slash", "tab\t", "\u2028", "💾"]], 1)
+K = 3
+
+
+def write_samples(path, rows):
+    samples = sample_table(len(rows), K)
+    matrix = np.array(rows, dtype=np.intp)
+    samples.anchor, samples.positive, samples.negatives = matrix[:, 0], matrix[:, 1], matrix[:, 2:]
+    samples_to_jsonl(path, samples, SAMPLE_CORPUS)
+
+
+def read_samples(path):
+    samples = samples_from_jsonl(path, SAMPLE_CORPUS)
+    return np.column_stack([samples.anchor, samples.positive, samples.negatives]).tolist()
+
+
 @st.composite
 def layer(draw):
     out_dim, in_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -127,9 +146,9 @@ FORMATS = {
         negative_sets_to_jsonl, negative_sets_from_jsonl,
     ),
     "samples_jsonl": (
-        st.lists(st.builds(ContrastiveSample, text, text, st.lists(text, max_size=8)),
+        st.lists(st.lists(st.integers(0, len(SAMPLE_CORPUS) - 1), min_size=2 + K, max_size=2 + K),
                  min_size=1, max_size=4),
-        samples_to_jsonl, samples_from_jsonl,
+        write_samples, read_samples,
     ),
     **{magic: layer_format(magic.encode("ascii")) for magic in ("ADP1", "FUS1", "TCH1")},
 }

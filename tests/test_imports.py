@@ -57,7 +57,8 @@ def test_per_family_mining_is_called_from_mining_only():
     assert offenders == []
 
 
-CHAIN_PASSES = {"chain_forward", "chain_backward", "chain_forward_jvp", "chain_backward_jvp"}
+CHAIN_PASSES = {"chain_forward", "chain_output", "chain_backward", "chain_forward_jvp",
+                "chain_backward_jvp"}
 
 
 def test_layer_chains_are_run_in_numeric_and_fusion_only():

@@ -171,16 +171,16 @@ def test_inner_adapt_never_mutates_shared_init():
 
 
 def count_passes(monkeypatch):
-    """Count model forward passes (every loss_and_grads, forward and query
-    pass goes through forward_cache; hvp does not)."""
+    """Count model forward passes: every loss_and_grads and query pass goes
+    through forward_cache, an inference pass through the cache-free
+    forward; hvp runs neither."""
     calls = []
-    real = FusionModel.forward_cache
+    for name in ("forward_cache", "forward"):
+        def counted(self, *args, real=getattr(FusionModel, name), **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(FusionModel, "forward_cache", counted)
+        monkeypatch.setattr(FusionModel, name, counted)
     return calls
 
 

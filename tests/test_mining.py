@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cftmal.data import Corpus, DescriptionRecord
+from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.mining import (
-    ContrastiveSample,
     MiningConfig,
+    MissingRecord,
     NegativeSet,
     ShortageError,
     build_all_samples,
@@ -191,6 +191,7 @@ def test_build_all_samples_rejects_unknown_family():
     sets = mine_all(corpus, positives, cfg, "similarity")
     samples = build_all_samples(corpus, positives, sets, cfg)
     assert len(samples) == len(corpus.records) * cfg.samples_per_anchor
+    assert samples.dtype.itemsize == (2 + 4) * np.dtype(np.intp).itemsize  # one row of ints each
     stray = NegativeSet("f9", sets[0].hard, sets[0].diverse, 1.0)
     with pytest.raises(ValueError, match="unknown family 'f9'"):
         build_all_samples(corpus, positives, sets + [stray], cfg)
@@ -203,21 +204,41 @@ def test_build_samples_counts_and_structure():
     cfg = MiningConfig(threshold=1.0, n_hard=10, n_diverse=6, seed=9)
     ns = mine_negatives(corpus, positives, "f0", cfg)
     anchors = corpus.by_family()["f0"]
-    samples = build_samples(anchors, positives["f0"], ns, cfg)
-    assert len(samples) == len(anchors) * cfg.samples_per_anchor
-    hard_ids = {rid for rid, _ in ns.hard}
-    diverse_ids = {rid for rid, _ in ns.diverse}
-    for s in samples:
+    draws = build_samples(anchors, positives["f0"], ns, cfg)
+    assert len(draws) == len(anchors) * cfg.samples_per_anchor
+    # per anchor in order, positions in the tier list hard + diverse
+    assert draws.anchor.tolist() == [a for a in range(len(anchors))
+                                     for _ in range(cfg.samples_per_anchor)]
+    for s in draws:
         assert len(s.negatives) == 8
-        assert set(s.negatives[:5]) <= hard_ids
-        assert set(s.negatives[5:]) <= diverse_ids
-        assert s.positive == positives["f0"].record.id
+        hard, diverse = s.negatives[:5].tolist(), s.negatives[5:].tolist()
+        assert hard == sorted(set(hard)) and set(hard) <= set(range(10))
+        assert diverse == sorted(set(diverse)) and set(diverse) <= set(range(10, 16))
     # draws for one anchor are distinct
     per_anchor = {}
-    for s in samples:
+    for s in draws:
         per_anchor.setdefault(s.anchor, []).append(tuple(s.negatives))
-    for draws in per_anchor.values():
-        assert len(set(draws)) == len(draws)
+    for d in per_anchor.values():
+        assert len(set(d)) == len(d)
+
+
+def test_build_all_samples_fills_rows_from_the_draws():
+    rng = np.random.default_rng(8)
+    corpus = random_corpus(rng, n_families=3, lo=18, hi=22)
+    positives = select_positives(corpus)
+    cfg = MiningConfig(threshold=1.0, n_hard=10, n_diverse=6, seed=9)
+    sets = mine_all(corpus, positives, cfg, "similarity")
+    samples = build_all_samples(corpus, positives, sets, cfg)
+    want = []
+    for ns in sets:
+        anchors = corpus.by_family()[ns.family]
+        tier = [rid for rid, _ in ns.hard + ns.diverse]
+        for d in build_samples(anchors, positives[ns.family], ns, cfg):
+            want.append([anchors[d.anchor].id, positives[ns.family].record.id,
+                         *[tier[i] for i in d.negatives]])
+    ids = np.array(corpus.ids)
+    got = np.column_stack([ids[samples.anchor], ids[samples.positive], ids[samples.negatives]])
+    assert got.tolist() == want
 
 
 def test_build_samples_rejects_foreign_anchor():
@@ -318,11 +339,38 @@ def test_jsonl_roundtrips(tmp_path):
     assert [ns.family for ns in back] == [ns.family for ns in sets]
     assert all(a.hard == b.hard and a.diverse == b.diverse for a, b in zip(sets, back))
 
-    samples = build_samples(corpus.by_family()["f0"], positives["f0"], sets[0], cfg)
+    samples = build_all_samples(corpus, positives, sets, cfg)
     spath = tmp_path / "samples.jsonl"
-    samples_to_jsonl(spath, samples)
-    sback = samples_from_jsonl(spath)
-    assert all(
-        a.anchor == b.anchor and a.positive == b.positive and a.negatives == b.negatives
-        for a, b in zip(samples, sback)
-    )
+    samples_to_jsonl(spath, samples, corpus)
+    sback = samples_from_jsonl(spath, corpus)
+    assert sback.dtype == samples.dtype
+    assert sback.tobytes() == samples.tobytes()
+    # without a corpus the table holds the record ids themselves
+    ids = samples_from_jsonl(spath)
+    assert ids.anchor.tolist() == [corpus.ids[r] for r in samples.anchor]
+    assert ids.negatives.tolist() == [[corpus.ids[r] for r in row] for row in samples.negatives]
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"anchor": "a", "positive": "b", "negatives": ["c"]}', "1 negatives, the first sample has 2"),
+    ('{"anchor": "a", "positive": "b", "negatives": []}', "negatives is empty"),
+    ('{"anchor": "a", "positive": "b", "negatives": ["c", 4]}', "negatives[1] must be a string"),
+])
+def test_samples_reader_names_the_line_of_a_ragged_sample(tmp_path, line, message):
+    path = tmp_path / "samples.jsonl"
+    path.write_text('{"anchor": "a", "positive": "b", "negatives": ["c", "d"]}\n' + line + "\n")
+    with pytest.raises(FormatError) as exc:
+        samples_from_jsonl(path)
+    assert str(exc.value).startswith(f"{path}: line 2: ")
+    assert message in str(exc.value)
+
+
+def test_samples_reader_names_the_first_missing_record(tmp_path):
+    corpus = Corpus([DescriptionRecord(r, "f", np.ones(2)) for r in "abcd"], 2)
+    path = tmp_path / "samples.jsonl"
+    path.write_text('{"anchor": "a", "positive": "b", "negatives": ["c", "d"]}\n\n'
+                    '{"anchor": "a", "positive": "x", "negatives": ["y", "d"]}\n')
+    with pytest.raises(MissingRecord) as exc:
+        samples_from_jsonl(path, corpus)
+    assert (exc.value.sample, exc.value.record) == (2, "x")
+    assert str(exc.value) == f"{path}: sample 2: no record 'x'"
