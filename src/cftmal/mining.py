@@ -81,6 +81,14 @@ class MiningConfig:
     def validate(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
+        for name in ("n_hard", "n_diverse", "negatives_hard_per_sample",
+                     "negatives_diverse_per_sample"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.samples_per_anchor < 1:
+            raise ValueError("samples_per_anchor must be >= 1")
+        if self.negatives_hard_per_sample + self.negatives_diverse_per_sample < 1:
+            raise ValueError("negatives_hard_per_sample + negatives_diverse_per_sample must be >= 1")
         if self.negatives_hard_per_sample > self.n_hard:
             raise ValueError("negatives_hard_per_sample exceeds n_hard")
         if self.negatives_diverse_per_sample > self.n_diverse:
@@ -194,6 +202,32 @@ def mine_all(corpus: Corpus, positives: dict, cfg: MiningConfig, strategy: str) 
     return [mine(corpus, positives, fam, cfg) for fam in corpus.families]
 
 
+def _floyd_picks(draws: np.ndarray, n: int) -> np.ndarray:
+    """The picks numpy's Floyd sampler makes from its draws, one sample per
+    row, each row sorted ascending.
+
+    A k-pick sample of range(n) takes its j-th draw in [0, n - k + j]; a
+    draw already picked is replaced by n - k + j, which no earlier step can
+    have picked."""
+    picks = draws.astype(np.intp)
+    k = picks.shape[1]
+    for j in range(1, k):
+        taken = (picks[:, :j] == picks[:, j, None]).any(axis=1)
+        picks[taken, j] = n - k + j
+    picks.sort(axis=1)
+    return picks
+
+
+def _first_repeat(rows: np.ndarray, groups: np.ndarray) -> int:
+    """Index of the first row equal to an earlier row of its group, or
+    len(rows) if there is none."""
+    keys = np.column_stack([groups, rows])
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in row order
+    keys = keys[order]
+    repeats = order[1:][(keys[1:] == keys[:-1]).all(axis=1)]
+    return int(repeats.min()) if repeats.size else len(rows)
+
+
 def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
                   cfg: MiningConfig) -> np.recarray:
     """Contrastive draws of one family: per anchor, several distinct draws
@@ -202,10 +236,20 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
     Returns one record per sample: `anchor`, its position in `anchors`, and
     `negatives`, positions in the tier list `negs.hard + negs.diverse`
     (hard first, each tier in ascending order).
+
+    Each attempt is what `rng.choice(tier, k, replace=False)` on the hard
+    tier and then on the diverse tier would draw: Floyd's k bounded draws,
+    then the k - 1 draws of its shuffle, spent and dropped since the tiers
+    are sorted. One `rng.integers` call draws the attempts of every open
+    slot, one row each, and Floyd's picks run as column operations. An
+    attempt that repeats an earlier draw of its anchor is spent: the
+    attempts after it move up a slot, and the slots left over are drawn
+    once these run out. The draws and the generator state then match the
+    per-sample `choice` loop wherever numpy's `choice` samples by Floyd:
+    tiers of at most 10,000 records, or larger ones drawing at most
+    tier // 50 of them (tiers are 20 and 12 records by default).
     """
     cfg.validate()
-    if cfg.samples_per_anchor < 1:
-        raise ValueError("samples_per_anchor must be >= 1")
     for a in anchors:
         if a.family != positive.family:
             raise ValueError(f"anchor {a.id!r} is not in family {positive.family!r}")
@@ -221,29 +265,39 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
             f"distinct draws of {n_hard} + {n_diverse}"
         )
     rng = _family_rng(cfg.seed, positive.family, "samples")
-    draws = _records(len(anchors) * cfg.samples_per_anchor, n_hard + n_diverse, np.intp, "anchor")
-    draws.anchor = np.repeat(np.arange(len(anchors)), cfg.samples_per_anchor)
+    per, total = cfg.samples_per_anchor, len(anchors) * cfg.samples_per_anchor
+    draws = _records(total, n_hard + n_diverse, np.intp, "anchor")
+    draws.anchor = np.repeat(np.arange(len(anchors)), per)
     negatives = draws.negatives
-    j = 0
-    for anchor in anchors:
-        seen = set()
-        for _ in range(cfg.samples_per_anchor):
-            # redraw until this anchor's draws stay distinct
-            for _attempt in range(64):
-                h = rng.choice(len(negs.hard), size=n_hard, replace=False)
-                d = rng.choice(len(negs.diverse), size=n_diverse, replace=False)
-                key = (frozenset(h.tolist()), frozenset(d.tolist()))
-                if key not in seen:
-                    break
-            else:
+    # an attempt's exclusive bounds, per tier (size, picks, offset in the tier
+    # list): Floyd's k draws in [0, n - k + j], then its shuffle's k - 1 in [0, i]
+    tiers = ((len(negs.hard), n_hard, 0), (len(negs.diverse), n_diverse, len(negs.hard)))
+    bounds = np.concatenate([np.r_[n - k + 1 : n + 1, k : 1 : -1] for n, k, _ in tiers])
+    filled = misses = 0
+    attempts = negatives[:0]
+    while filled < total:
+        if not len(attempts):
+            raw = rng.integers(0, bounds, size=(total - filled, len(bounds)), dtype=np.uint32)
+            at, parts = 0, []
+            for n, k, offset in tiers:
+                parts.append(_floyd_picks(raw[:, at : at + k], n) + offset)
+                at += max(2 * k - 1, 0)
+            attempts = np.hstack(parts)
+        # slot `filled` may be partway through its anchor: its earlier draws count too
+        start = filled - filled % per
+        held = np.concatenate([negatives[start:filled], attempts])
+        took = _first_repeat(held, np.arange(start, start + len(held)) // per) - (filled - start)
+        negatives[filled : filled + took] = attempts[:took]
+        filled += took
+        misses = 0 if took else misses
+        if took < len(attempts):  # attempts[took] repeats a draw of its anchor: spent
+            misses += 1
+            if misses == 64:
                 raise ShortageError(
-                    f"family {positive.family!r}: anchor {anchor.id!r}: 64 draws "
-                    f"all repeat one of its {len(seen)} earlier samples"
+                    f"family {positive.family!r}: anchor {anchors[filled // per].id!r}: 64 draws "
+                    f"all repeat one of its {filled % per} earlier samples"
                 )
-            seen.add(key)
-            negatives[j, :n_hard] = np.sort(h)
-            negatives[j, n_hard:] = np.sort(d) + len(negs.hard)
-            j += 1
+        attempts = attempts[took + 1 :]
     return draws
 
 
@@ -251,6 +305,7 @@ def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) 
     """The sample table (`sample_table`) of every negative set, in the order
     given; each family's records are its anchors, and each family's draws
     are filled in from the corpus rows of its records and tiers."""
+    cfg.validate()
     by_family = corpus.by_family()
     for ns in sets:
         if ns.family not in by_family:
@@ -339,9 +394,15 @@ def samples_from_jsonl(path, corpus: Corpus | None = None) -> np.recarray:
     widths, missing = [], []
 
     def parse(d):
-        ids = [_typed(d["anchor"], str, "anchor"), _typed(d["positive"], str, "positive")]
-        ids += [_typed(n, str, f"negatives[{i}]")
-                for i, n in enumerate(_typed(d["negatives"], list, "negatives"))]
+        ids = [d["anchor"], d["positive"]]
+        negatives = d.get("negatives")
+        if type(negatives) is list:
+            ids += negatives
+        if type(negatives) is not list or not all(type(x) is str for x in ids):
+            # some field is missing or of the wrong type: the typed reads name it
+            ids = [_typed(d["anchor"], str, "anchor"), _typed(d["positive"], str, "positive")]
+            ids += [_typed(n, str, f"negatives[{i}]")
+                    for i, n in enumerate(_typed(d["negatives"], list, "negatives"))]
         if len(ids) == 2:
             raise ValueError("negatives is empty")
         if widths and len(ids) != widths[0]:

@@ -418,6 +418,15 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
      "eval.csv"),
     ("samples", ["embeddings", "negatives"], ["--samples-per-anchor", "0"], "samples_per_anchor",
      "samples.jsonl"),
+    ("samples", ["embeddings", "negatives"], ["--samples-per-anchor", "-1"], "samples_per_anchor",
+     "samples.jsonl"),
+    ("samples", ["embeddings", "negatives"], ["--hard-per-sample", "-1"],
+     "negatives_hard_per_sample", "samples.jsonl"),
+    # one sample per anchor fits a 0 + 0 draw, which train-cft would then reject
+    ("samples", ["embeddings", "negatives"],
+     ["--hard-per-sample", "0", "--diverse-per-sample", "0", "--samples-per-anchor", "1"],
+     "negatives_hard_per_sample + negatives_diverse_per_sample", "samples.jsonl"),
+    ("mine", ["embeddings"], ["--n-hard", "-1"], "n_hard", "negatives.jsonl"),
     ("train-cft", ["embeddings", "samples"], ["--hidden-dim", "0"], "hidden_dim", "adapter.adp1"),
     ("train-cft", ["embeddings", "samples"], ["--output-dim", "0"], "output_dim", "adapter.adp1"),
     # rates and temperatures must be finite and > 0 (a weight decay or meta rate >= 0)
@@ -434,7 +443,9 @@ def test_mismatched_inputs_exit_1_naming_both_files(mismatched, tmp_path, capsys
      "kd_temperature", "student.fus1"),
     ("synth", [], ["--cluster-spread", "nan"], "cluster_spread", "embeddings.emb1"),
 ], ids=["train-cft", "teacher", "maml", "eval", "ablate", "maml-n-query", "maml-n-support",
-        "eval-support-sizes", "samples-per-anchor", "train-cft-hidden-dim", "train-cft-output-dim",
+        "eval-support-sizes", "samples-per-anchor", "samples-per-anchor-negative",
+        "samples-hard-per-sample-negative", "samples-no-negatives", "mine-n-hard-negative",
+        "train-cft-hidden-dim", "train-cft-output-dim",
         "train-cft-lr-nan", "train-cft-lr-negative", "train-cft-tau-nan",
         "train-cft-weight-decay-nan", "teacher-lr-nan", "teacher-lr-negative", "maml-inner-lr-nan",
         "maml-meta-lr-nan", "maml-kd-temperature-nan", "synth-cluster-spread-nan"])

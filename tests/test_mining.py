@@ -197,6 +197,27 @@ def test_build_all_samples_rejects_unknown_family():
         build_all_samples(corpus, positives, sets + [stray], cfg)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"samples_per_anchor": -1}, "samples_per_anchor must be >= 1"),
+    ({"samples_per_anchor": 0}, "samples_per_anchor must be >= 1"),
+    ({"n_hard": -1}, "n_hard must be >= 0"),
+    ({"n_diverse": -1}, "n_diverse must be >= 0"),
+    ({"negatives_hard_per_sample": -1}, "negatives_hard_per_sample must be >= 0"),
+    ({"negatives_diverse_per_sample": -1}, "negatives_diverse_per_sample must be >= 0"),
+    ({"negatives_hard_per_sample": 0, "negatives_diverse_per_sample": 0},
+     r"negatives_hard_per_sample \+ negatives_diverse_per_sample must be >= 1"),
+])
+def test_build_all_samples_rejects_bad_counts_naming_the_field(fields, message):
+    rng = np.random.default_rng(16)
+    corpus = random_corpus(rng, n_families=3, lo=12, hi=15)
+    positives = select_positives(corpus)
+    sets = mine_all(corpus, positives, MiningConfig(threshold=1.0, n_hard=6, n_diverse=4),
+                    "similarity")
+    cfg = MiningConfig(**{"threshold": 1.0, "n_hard": 6, "n_diverse": 4, **fields})
+    with pytest.raises(ValueError, match=message):
+        build_all_samples(corpus, positives, sets, cfg)
+
+
 def test_build_samples_counts_and_structure():
     rng = np.random.default_rng(8)
     corpus = random_corpus(rng, n_families=3, lo=20, hi=20)
@@ -271,8 +292,8 @@ def test_build_samples_rejects_tiers_too_small_for_distinct_draws():
 
 def test_build_samples_raises_when_redraws_keep_colliding(monkeypatch):
     class SameDraw:
-        def choice(self, n, size, replace):
-            return np.arange(size)
+        def integers(self, low, high, size, dtype):
+            return np.zeros(size, dtype)
 
     monkeypatch.setattr("cftmal.mining._family_rng", lambda *a: SameDraw())
     ns = NegativeSet("f0", [(f"h{i}", 0.5) for i in range(6)],
@@ -286,6 +307,83 @@ def _pos():
     from cftmal.mining import PositiveSelection
 
     return PositiveSelection("f0", DescriptionRecord("p", "f0", np.ones(3)))
+
+
+def _choice_loop(rng, anchors, negs, cfg):
+    """The per-sample `rng.choice` loop `build_samples` reproduces: two
+    `choice` calls per attempt, redrawn until each anchor's draws are
+    distinct."""
+    n_hard, n_diverse = cfg.negatives_hard_per_sample, cfg.negatives_diverse_per_sample
+    rows = []
+    for anchor in anchors:
+        seen = set()
+        for _ in range(cfg.samples_per_anchor):
+            for _attempt in range(64):
+                h = rng.choice(len(negs.hard), size=n_hard, replace=False)
+                d = rng.choice(len(negs.diverse), size=n_diverse, replace=False)
+                key = (frozenset(h.tolist()), frozenset(d.tolist()))
+                if key not in seen:
+                    break
+            else:
+                raise ShortageError(
+                    f"family {negs.family!r}: anchor {anchor.id!r}: 64 draws "
+                    f"all repeat one of its {len(seen)} earlier samples"
+                )
+            seen.add(key)
+            rows.append(np.sort(h).tolist() + (np.sort(d) + len(negs.hard)).tolist())
+    return rows
+
+
+def _both_draws(monkeypatch, seed, tiers, per_sample, per_anchor, n_anchors):
+    """(outcome, final generator state) of `build_samples` and of the
+    `choice` loop from one seed; an outcome is the draws or the error text."""
+    negs = NegativeSet("f0", [(f"h{i}", 0.5) for i in range(tiers[0])],
+                       [(f"d{i}", 0.1) for i in range(tiers[1])], 0.95)
+    anchors = [DescriptionRecord(f"a{i}", "f0", np.ones(3)) for i in range(n_anchors)]
+    cfg = MiningConfig(n_hard=tiers[0], n_diverse=tiers[1],
+                       negatives_hard_per_sample=per_sample[0],
+                       negatives_diverse_per_sample=per_sample[1],
+                       samples_per_anchor=per_anchor)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    monkeypatch.setattr("cftmal.mining._family_rng", lambda *a: new)
+    outcomes = []
+    for draw in (lambda: build_samples(anchors, _pos(), negs, cfg).negatives.tolist(),
+                 lambda: _choice_loop(old, anchors, negs, cfg)):
+        try:
+            outcomes.append(draw())
+        except ShortageError as exc:
+            outcomes.append(str(exc))
+    return (outcomes[0], new.bit_generator.state), (outcomes[1], old.bit_generator.state)
+
+
+@pytest.mark.parametrize("tiers, per_sample, per_anchor, n_anchors", [
+    ((20, 12), (5, 3), 4, 30),  # the default tiers and draws
+    ((6, 4), (5, 3), 6, 5),  # 24 distinct draws, 6 per anchor: frequent redraws
+    ((3, 3), (1, 1), 9, 3),  # every one of the 9 distinct draws per anchor
+    ((5, 4), (0, 2), 3, 4),
+    ((5, 4), (2, 0), 3, 4),
+    ((1, 1), (1, 1), 1, 3),  # one-record tiers: draws in [0, 0] spend nothing
+], ids=["default", "6C5x4C3", "3C1x3C1", "no-hard", "no-diverse", "one-record-tiers"])
+def test_build_samples_matches_the_per_sample_choice_loop(monkeypatch, tiers, per_sample,
+                                                          per_anchor, n_anchors):
+    # Floyd's picks from one `integers` call stand in for numpy's `choice`:
+    # a numpy whose `choice` draws differently fails here, not in later bytes
+    for seed in range(12):
+        new, old = _both_draws(monkeypatch, seed, tiers, per_sample, per_anchor, n_anchors)
+        assert not isinstance(new[0], str), new[0]
+        assert new == old, seed
+
+
+def test_build_samples_raises_the_choice_loops_64_draw_error(monkeypatch):
+    # 8 x 8 distinct draws, all 64 per anchor: a slot near the end often misses
+    # 64 times. The texts match; the final generator states need not, since
+    # `build_samples` draws the attempts of every open slot ahead
+    errors = []
+    for seed in range(4):
+        (new, _), (old, _) = _both_draws(monkeypatch, seed, (8, 8), (1, 1), 64, 2)
+        assert new == old, seed
+        errors += [new] if isinstance(new, str) else []
+    assert errors and all("64 draws all repeat one of its" in e for e in errors)
 
 
 def test_similarity_histogram_counts_everything():
