@@ -151,11 +151,10 @@ def _cmd_samples(v, mcfg, path):
     emb_path, negatives_path = v["embeddings"], v["negatives"]
     corpus = data.load_embeddings(emb_path)
     sets = mining.negative_sets_from_jsonl(negatives_path)
-    for ns in sets:
-        for rid, _ in ns.hard + ns.diverse:
-            if rid not in corpus.rows:
-                raise _mismatch(negatives_path, emb_path, f"family {ns.family}: no record {rid!r}")
-    samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
+    try:
+        samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
+    except mining.TierError as exc:
+        raise _mismatch(negatives_path, emb_path, exc) from exc
     mining.samples_to_jsonl(path, samples, corpus)
     return f"{len(samples)} contrastive samples ({mcfg.samples_per_anchor} per anchor) -> {path}"
 

@@ -1,17 +1,17 @@
 """Positive selection, hard/diverse negative mining and sample assembly.
 
-For each family, all foreign-family records are scored by cosine
-similarity against the family's positive embedding. Candidates at or
-below the similarity cap are sorted descending; the top tier becomes the
-hard negatives and a random draw from the strictly lower-ranked remainder
-becomes the diverse tier. Each anchor then yields several contrastive
-samples mixing hard and diverse negatives.
+For each family, the foreign-family rows are scored by cosine similarity
+against the family's positive row. Candidates at or below the similarity
+cap are ranked descending (`_tiers`, which also orders the random draw);
+the top tier becomes the hard negatives and a random draw from the strictly
+lower-ranked remainder becomes the diverse tier. Each anchor then yields
+several contrastive samples mixing hard and diverse negatives.
 
 The samples of a corpus are one sample table (`sample_table`): a record
 array over one (n, 2 + k) intp matrix of corpus rows, each record
 [anchor, positive, k negatives] read as the fields `anchor`, `positive` and
 `negatives` (hard tier first, then diverse). Record ids appear only in the
-samples JSONL file, translated against the corpus on the way out and in.
+JSONL files, met by rows only in `build_all_samples` and the samples I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .data import Corpus, DescriptionRecord, FormatError, read_jsonl, write_csv, write_jsonl
+from .data import Corpus, FormatError, read_jsonl, write_csv, write_jsonl
 from .similarity import normalize_rows
 
 
@@ -33,11 +33,8 @@ class ShortageError(ValueError):
 @dataclass
 class PositiveSelection:
     family: str
-    record: DescriptionRecord
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self.record.vector
+    row: int  # the positive's corpus row
+    embedding: np.ndarray
 
 
 @dataclass
@@ -46,6 +43,10 @@ class NegativeSet:
     hard: list  # [(record_id, similarity)] sorted by similarity descending
     diverse: list  # [(record_id, similarity)]
     threshold: float
+
+
+class TierError(ValueError):
+    """Negative sets that do not fit their corpus."""
 
 
 class MissingRecord(FormatError):
@@ -110,7 +111,7 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     if not rows:
         raise ValueError(f"unknown family {family!r}")
     if len(rows) == 1:
-        return PositiveSelection(family, corpus.record(rows[0]))
+        return PositiveSelection(family, rows[0], corpus.vectors[rows[0]])
     normed = normalize_rows(corpus.vectors[rows])[0]
     # row sums of the family's cosine Gram: each unit row against their sum
     means = (normed @ normed.sum(axis=0) - 1.0) / (len(rows) - 1)
@@ -118,8 +119,8 @@ def select_positive(corpus: Corpus, family: str) -> PositiveSelection:
     # a 2-record family always are): within MEDOID_TIE of the best is a tie,
     # and the largest id among the tied wins
     tied = np.flatnonzero(means >= means.max() - MEDOID_TIE).tolist()
-    best = max(tied, key=lambda i: corpus.ids[rows[i]])
-    return PositiveSelection(family, corpus.record(rows[best]))
+    best = rows[max(tied, key=lambda i: corpus.ids[rows[i]])]
+    return PositiveSelection(family, best, corpus.vectors[best])
 
 
 def select_positives(corpus: Corpus) -> dict:
@@ -127,40 +128,44 @@ def select_positives(corpus: Corpus) -> dict:
 
 
 def _foreign_similarities(corpus: Corpus, positives: dict, family: str):
-    """(id, family, cosine to the family's positive) of every record outside `family`."""
+    """(rows, cosines to the family's positive) of every record outside `family`."""
     if family not in positives:
         raise ValueError(f"no positive selected for family {family!r}")
-    own = corpus.class_index().get(family, -1)
-    foreign = np.flatnonzero(corpus.labels != own).tolist()
-    normed = normalize_rows(corpus.vectors[foreign])[0]
+    rows = np.flatnonzero(corpus.labels != corpus.class_index().get(family, -1))
+    normed = normalize_rows(corpus.vectors[rows])[0]
     e = positives[family].embedding
-    n = np.linalg.norm(e)
-    en = e / n if n > 0 else e
+    en = e / (np.linalg.norm(e) or 1.0)  # a zero positive scores every row 0
     # a foreign copy of the positive's direction may round to just past ±1
-    sims = np.clip(normed @ en, -1.0, 1.0)
-    return [(corpus.ids[i], corpus.families[label], s)
-            for i, label, s in zip(foreign, corpus.labels[foreign].tolist(), sims.tolist())]
+    return rows, np.clip(normed @ en, -1.0, 1.0)
+
+
+def _tiers(corpus: Corpus, family: str, rows, sims, n_hard: int, diverse, threshold: float):
+    """The negative set of `rows` ranked by descending similarity, ties
+    broken by family name, then id: the first `n_hard` are the hard tier,
+    those at `n_hard + diverse` the diverse one. Names compare as Python
+    strings (object arrays): numpy's fixed-width strings drop trailing NULs."""
+    ids = np.array(corpus.ids, dtype=object)[rows]
+    order = np.lexsort((ids, np.array(corpus.families, dtype=object)[corpus.labels[rows]], -sims))
+    at = order[np.r_[:n_hard, n_hard + diverse]]
+    pairs = list(zip(ids[at].tolist(), sims[at].tolist()))
+    return NegativeSet(family, pairs[:n_hard], pairs[n_hard:], threshold)
 
 
 def mine_negatives(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig) -> NegativeSet:
     """Hard/diverse negative tiers for one family (similarity-ranked)."""
     cfg.validate()
-    scored = _foreign_similarities(corpus, positives, family)
-    candidates = [c for c in scored if c[2] <= cfg.threshold]
+    rows, sims = _foreign_similarities(corpus, positives, family)
+    below = sims <= cfg.threshold
     need = cfg.n_hard + cfg.n_diverse
-    if len(candidates) < need:
+    if below.sum() < need:
         raise ShortageError(
-            f"family {family!r}: {len(candidates)} candidates at or below "
+            f"family {family!r}: {below.sum()} candidates at or below "
             f"threshold {cfg.threshold}, need {need} "
             f"({cfg.n_hard} hard + {cfg.n_diverse} diverse)"
         )
-    candidates.sort(key=lambda c: (-c[2], c[1], c[0]))
-    hard = [(rid, s) for rid, _, s in candidates[: cfg.n_hard]]
-    rest = candidates[cfg.n_hard :]
     rng = _family_rng(cfg.seed, family, "mine")
-    pick = rng.choice(len(rest), size=cfg.n_diverse, replace=False)
-    diverse = [(rest[i][0], rest[i][2]) for i in sorted(pick.tolist())]
-    return NegativeSet(family, hard, diverse, cfg.threshold)
+    diverse = np.sort(rng.choice(below.sum() - cfg.n_hard, size=cfg.n_diverse, replace=False))
+    return _tiers(corpus, family, rows[below], sims[below], cfg.n_hard, diverse, cfg.threshold)
 
 
 def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig) -> NegativeSet:
@@ -172,32 +177,20 @@ def mine_random(corpus: Corpus, positives: dict, family: str, cfg: MiningConfig)
     drawn set).
     """
     cfg.validate()
-    scored = _foreign_similarities(corpus, positives, family)
+    rows, sims = _foreign_similarities(corpus, positives, family)
     need = cfg.n_hard + cfg.n_diverse
-    if len(scored) < need:
-        raise ShortageError(
-            f"family {family!r}: {len(scored)} foreign records, need {need}"
-        )
+    if len(rows) < need:
+        raise ShortageError(f"family {family!r}: {len(rows)} foreign records, need {need}")
     rng = _family_rng(cfg.seed, family, "random")
-    pick = rng.choice(len(scored), size=need, replace=False)
-    chosen = [scored[i] for i in pick.tolist()]
-    chosen.sort(key=lambda c: (-c[2], c[1], c[0]))
-    hard = [(rid, s) for rid, _, s in chosen[: cfg.n_hard]]
-    diverse = [(rid, s) for rid, _, s in chosen[cfg.n_hard :]]
-    return NegativeSet(family, hard, diverse, 1.0)
+    pick = rng.choice(len(rows), size=need, replace=False)
+    return _tiers(corpus, family, rows[pick], sims[pick], cfg.n_hard, np.arange(cfg.n_diverse), 1.0)
 
 
 def mine_all(corpus: Corpus, positives: dict, cfg: MiningConfig, strategy: str) -> list:
-    """One negative set per family, in `corpus.families` order.
-
-    `strategy` is "similarity" (`mine_negatives`) or "random"
-    (`mine_random`).
-    """
-    if strategy == "similarity":
-        mine = mine_negatives
-    elif strategy == "random":
-        mine = mine_random
-    else:
+    """One negative set per family, in `corpus.families` order, by `strategy`:
+    "similarity" (`mine_negatives`) or "random" (`mine_random`)."""
+    mine = {"similarity": mine_negatives, "random": mine_random}.get(strategy)
+    if mine is None:
         raise ValueError(f"unknown mining strategy {strategy!r}")
     return [mine(corpus, positives, fam, cfg) for fam in corpus.families]
 
@@ -303,24 +296,29 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
 
 def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) -> np.recarray:
     """The sample table (`sample_table`) of every negative set, in the order
-    given; each family's records are its anchors, and each family's draws
-    are filled in from the corpus rows of its records and tiers."""
+    given; each family's records are its anchors. Tier ids become corpus
+    rows here: an unknown family or id raises TierError."""
     cfg.validate()
-    by_family = corpus.by_family()
+    classes, tiers = corpus.class_index(), []
     for ns in sets:
-        if ns.family not in by_family:
-            raise ValueError(f"negative set for unknown family {ns.family!r}")
+        if ns.family not in classes:
+            raise TierError(f"negative set for unknown family {ns.family!r}")
+        ids = [rid for rid, _ in ns.hard + ns.diverse]
+        rows = [corpus.rows.get(rid, -1) for rid in ids]
+        if -1 in rows:
+            raise TierError(f"family {ns.family}: no record {ids[rows.index(-1)]!r}")
+        tiers.append(np.array(rows, dtype=np.intp))
+    by_family = corpus.by_family()
     k = cfg.negatives_hard_per_sample + cfg.negatives_diverse_per_sample
     samples = sample_table(sum(len(by_family[ns.family]) for ns in sets) * cfg.samples_per_anchor, k)
-    classes, at = corpus.class_index(), 0
-    for ns in sets:
+    at = 0
+    for ns, tier in zip(sets, tiers):
         draws = build_samples(by_family[ns.family], positives[ns.family], ns, cfg)
         block = samples[at : at + len(draws)]
         at += len(draws)
         block.anchor = np.flatnonzero(corpus.labels == classes[ns.family])[draws.anchor]
-        block.positive = corpus.rows[positives[ns.family].record.id]
-        tier_rows = np.array([corpus.rows[rid] for rid, _ in ns.hard + ns.diverse], dtype=np.intp)
-        block.negatives = tier_rows[draws.negatives]
+        block.positive = positives[ns.family].row
+        block.negatives = tier[draws.negatives]
     return samples
 
 
@@ -328,8 +326,7 @@ def similarity_histogram(corpus: Corpus, positives: dict, family: str, n_bins: i
     """Histogram of foreign-record similarities to the family positive."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    scored = _foreign_similarities(corpus, positives, family)
-    sims = np.array([s for _, _, s in scored], dtype=np.float64)
+    sims = _foreign_similarities(corpus, positives, family)[1]
     counts, edges = np.histogram(sims, bins=n_bins, range=(-1.0, 1.0))
     return edges, counts
 

@@ -197,7 +197,7 @@ def test_family_sums_match_the_gram_reference():
             # rounding; the 2 records of a pair tie exactly, up to rounding
             means = gram_medoid_means(corpus, fam)
             best, *rest = sorted(means.values(), reverse=True)
-            got = select_positive(corpus, fam).record.id
+            got = corpus.ids[select_positive(corpus, fam).row]
             assert means[got] == pytest.approx(best, abs=1e-12)
             if not rest or best - rest[0] > 1e-12:
                 assert got == max(means, key=lambda rid: (means[rid], rid))

@@ -59,7 +59,7 @@ def test_select_positive_is_medoid():
         return np.mean([cosine_similarity(r.vector, o.vector) for o in fam if o.id != r.id])
 
     best = max(fam, key=lambda r: (mean_sim(r), r.id))
-    assert pos.record.id == best.id
+    assert corpus.ids[pos.row] == best.id
 
 
 def test_select_positive_breaks_a_two_record_tie_on_id():
@@ -71,7 +71,8 @@ def test_select_positive_breaks_a_two_record_tie_on_id():
         for x, y in ((u, v), (v, u)):
             a, b = DescriptionRecord("a", "A", x), DescriptionRecord("b", "A", y)
             for records in ([a, b], [b, a]):
-                assert select_positive(Corpus(records, 8), "A").record.id == "b", seed
+                corpus = Corpus(records, 8)
+                assert corpus.ids[select_positive(corpus, "A").row] == "b", seed
 
 
 def test_select_positive_explicit_and_errors():
@@ -255,7 +256,7 @@ def test_build_all_samples_fills_rows_from_the_draws():
         anchors = corpus.by_family()[ns.family]
         tier = [rid for rid, _ in ns.hard + ns.diverse]
         for d in build_samples(anchors, positives[ns.family], ns, cfg):
-            want.append([anchors[d.anchor].id, positives[ns.family].record.id,
+            want.append([anchors[d.anchor].id, corpus.ids[positives[ns.family].row],
                          *[tier[i] for i in d.negatives]])
     ids = np.array(corpus.ids)
     got = np.column_stack([ids[samples.anchor], ids[samples.positive], ids[samples.negatives]])
@@ -306,7 +307,7 @@ def test_build_samples_raises_when_redraws_keep_colliding(monkeypatch):
 def _pos():
     from cftmal.mining import PositiveSelection
 
-    return PositiveSelection("f0", DescriptionRecord("p", "f0", np.ones(3)))
+    return PositiveSelection("f0", 0, np.ones(3))
 
 
 def _choice_loop(rng, anchors, negs, cfg):
