@@ -155,6 +155,8 @@ def _cmd_samples(v, mcfg, path):
         samples = mining.build_all_samples(corpus, mining.select_positives(corpus), sets, mcfg)
     except mining.TierError as exc:
         raise _mismatch(negatives_path, emb_path, exc) from exc
+    except mining.ShortageError as exc:  # tiers too small for the draws
+        raise ValueError(f"{negatives_path}: {exc}") from exc
     mining.samples_to_jsonl(path, samples, corpus)
     return f"{len(samples)} contrastive samples ({mcfg.samples_per_anchor} per anchor) -> {path}"
 

@@ -141,9 +141,9 @@ def write_embeddings(path, corpus: Corpus) -> None:
         fh.write(EMB1_MAGIC)
         fh.write(struct.pack("<II", len(corpus), corpus.dim))
         fh.write(payload.tobytes())
+        encode = json.JSONEncoder(sort_keys=True).encode
         for rid, label in zip(corpus.ids, corpus.labels.tolist()):
-            meta = {"id": rid, "family": corpus.families[label]}
-            fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
+            fh.write(encode({"id": rid, "family": corpus.families[label]}).encode("utf-8") + b"\n")
 
 
 def _read_emb1(path) -> Corpus:
@@ -230,9 +230,10 @@ def write_csv(path, header, rows) -> None:
 
 def write_jsonl(path, objects) -> None:
     """One JSON object per line, keys sorted."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # one encoder per file
     with replace_file(path, "w", encoding="utf-8") as fh:
         for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def read_jsonl(path, parse) -> list:
@@ -240,11 +241,14 @@ def read_jsonl(path, parse) -> list:
 
     A line that is not UTF-8 JSON, or whose value `parse` rejects with
     KeyError, TypeError or ValueError, raises FormatError
-    "<path>: line <n>: ...".
+    "<path>: line <n>: ..."; a file without a line raises "<path>: no lines".
     """
     with open(path, "rb") as fh:
-        return [_json_line(path, f"line {n}", ln, parse)
-                for n, ln in enumerate(fh, start=1) if ln.strip()]
+        values = [_json_line(path, f"line {n}", ln, parse)
+                  for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not values:
+        raise FormatError(f"{path}: no lines")
+    return values
 
 
 def _json_line(path, where: str, raw: bytes, parse):

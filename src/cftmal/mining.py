@@ -248,9 +248,10 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
             raise ValueError(f"anchor {a.id!r} is not in family {positive.family!r}")
     n_hard, n_diverse = cfg.negatives_hard_per_sample, cfg.negatives_diverse_per_sample
     if len(negs.hard) < n_hard:
-        raise ShortageError(f"hard tier has {len(negs.hard)}, need {n_hard}")
+        raise ShortageError(f"family {negs.family!r}: hard tier has {len(negs.hard)}, need {n_hard}")
     if len(negs.diverse) < n_diverse:
-        raise ShortageError(f"diverse tier has {len(negs.diverse)}, need {n_diverse}")
+        raise ShortageError(f"family {negs.family!r}: diverse tier has {len(negs.diverse)}, "
+                            f"need {n_diverse}")
     if comb(len(negs.hard), n_hard) * comb(len(negs.diverse), n_diverse) < cfg.samples_per_anchor:
         raise ShortageError(
             f"family {positive.family!r}: tiers of {len(negs.hard)} hard and "
@@ -294,31 +295,49 @@ def build_samples(anchors, positive: PositiveSelection, negs: NegativeSet,
     return draws
 
 
+def _tier_rows(corpus: Corpus, ns: NegativeSet, label: int) -> np.ndarray:
+    """The corpus rows of a negative set's tier list, hard then diverse;
+    each id must name a record outside the set's family, once."""
+    rows = []
+    for rid, _ in ns.hard + ns.diverse:
+        row = corpus.rows.get(rid, -1)
+        if row < 0:
+            raise TierError(f"family {ns.family}: no record {rid!r}")
+        if corpus.labels[row] == label:
+            raise TierError(f"family {ns.family}: record {rid!r} is of the set's own family")
+        if row in rows:
+            raise TierError(f"family {ns.family}: record {rid!r} is listed twice")
+        rows.append(row)
+    return np.array(rows, dtype=np.intp)
+
+
 def build_all_samples(corpus: Corpus, positives: dict, sets, cfg: MiningConfig) -> np.recarray:
     """The sample table (`sample_table`) of every negative set, in the order
-    given; each family's records are its anchors. Tier ids become corpus
-    rows here: an unknown family or id raises TierError."""
+    given; each family's records are its anchors.
+
+    Tier ids become corpus rows here, before anything is drawn: a set of an
+    unknown family, a second set of one family, or a tier id that is
+    unknown, of the set's own family or listed twice raises TierError.
+    """
     cfg.validate()
-    classes, tiers = corpus.class_index(), []
+    classes, tiers = corpus.class_index(), {}
     for ns in sets:
         if ns.family not in classes:
             raise TierError(f"negative set for unknown family {ns.family!r}")
-        ids = [rid for rid, _ in ns.hard + ns.diverse]
-        rows = [corpus.rows.get(rid, -1) for rid in ids]
-        if -1 in rows:
-            raise TierError(f"family {ns.family}: no record {ids[rows.index(-1)]!r}")
-        tiers.append(np.array(rows, dtype=np.intp))
+        if ns.family in tiers:
+            raise TierError(f"family {ns.family}: more than one negative set")
+        tiers[ns.family] = _tier_rows(corpus, ns, classes[ns.family])
     by_family = corpus.by_family()
     k = cfg.negatives_hard_per_sample + cfg.negatives_diverse_per_sample
     samples = sample_table(sum(len(by_family[ns.family]) for ns in sets) * cfg.samples_per_anchor, k)
     at = 0
-    for ns, tier in zip(sets, tiers):
+    for ns in sets:
         draws = build_samples(by_family[ns.family], positives[ns.family], ns, cfg)
         block = samples[at : at + len(draws)]
         at += len(draws)
         block.anchor = np.flatnonzero(corpus.labels == classes[ns.family])[draws.anchor]
         block.positive = positives[ns.family].row
-        block.negatives = tier[draws.negatives]
+        block.negatives = tiers[ns.family][draws.negatives]
     return samples
 
 
@@ -416,10 +435,9 @@ def samples_from_jsonl(path, corpus: Corpus | None = None) -> np.recarray:
     if missing:
         raise MissingRecord(path, *missing[0])
     dtype = object if corpus is None else np.intp
-    samples = sample_table(len(lines), widths[0] - 2 if lines else 0, dtype)
-    if lines:
-        matrix = np.array(lines, dtype=dtype)
-        samples.anchor, samples.positive, samples.negatives = matrix[:, 0], matrix[:, 1], matrix[:, 2:]
+    samples = sample_table(len(lines), widths[0] - 2, dtype)
+    matrix = np.array(lines, dtype=dtype)
+    samples.anchor, samples.positive, samples.negatives = matrix[:, 0], matrix[:, 1], matrix[:, 2:]
     return samples
 
 

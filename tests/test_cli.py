@@ -1,12 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cftmal
 from cftmal import mining
 from cftmal.cft import CftConfig
 from cftmal.cli import _build_parser, _config, main
@@ -47,6 +56,39 @@ def test_rerun_is_byte_identical(tmp_path):
                    "--n-hard", "6", "--n-diverse", "4", "--threshold", "1.0") == 0
     for name in ("embeddings.emb1", "attributes.csv", "negatives.jsonl"):
         assert sha(out1 / name) == sha(out2 / name)
+
+
+# synth -> mine -> samples -> train-cft -> refine in one interpreter; the
+# CFT batches (32 samples of 2 + 8 rows, 32 -> 64 -> 32) are large enough
+# for OpenBLAS to split their GEMMs across threads
+BLAS_CHAIN = """
+import sys
+from cftmal.cli import main
+out = sys.argv[1]
+emb = out + "/embeddings.emb1"
+for argv in (["synth", "--families", "3", "--records", "40", "--dim", "32", "--attr-dim", "4"],
+             ["mine", "--embeddings", emb, "--n-hard", "10", "--n-diverse", "6"],
+             ["samples", "--embeddings", emb, "--negatives", out + "/negatives.jsonl"],
+             ["train-cft", "--embeddings", emb, "--samples", out + "/samples.jsonl",
+              "--hidden-dim", "64", "--output-dim", "32", "--denominator", "in_batch"],
+             ["refine", "--embeddings", emb, "--adapter", out + "/adapter.adp1"]):
+    assert main(argv + ["--out", out, "--seed", "3"]) == 0, argv
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every artifact of the chain is byte-identical at 1 and 2 BLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(Path(cftmal.__file__).parents[1]),
+               **{var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}}
+        subprocess.run([sys.executable, "-c", BLAS_CHAIN, str(out)], env=env, check=True,
+                       capture_output=True)
+        digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
+    assert len(digests[0]) == 7
+    assert digests[0] == digests[1]
 
 
 def test_rerun_into_same_out_replaces_artifacts(tmp_path):
@@ -309,10 +351,29 @@ def mismatched(tmp_path_factory):
         "\n".join([samples[0].replace('"anchor": "family00-0000"', '"anchor": "nope"')]
                   + samples[1:]) + "\n")
     assert '"nope"' in (a / "bad_samples.jsonl").read_text()
-    sets = mining.negative_sets_from_jsonl(a / "negatives.jsonl")
-    sets[0].hard[0] = ("ghost-record", sets[0].hard[0][1])
-    mining.negative_sets_to_jsonl(a / "bad_negatives.jsonl", sets)
+    for name, damage in BAD_NEGATIVES.items():
+        damaged = mining.negative_sets_from_jsonl(a / "negatives.jsonl")
+        damage(damaged)
+        mining.negative_sets_to_jsonl(a / name, damaged)
     return root
+
+
+def _retag(sets, rid, *entries):
+    """Put `rid` in place of the id of each of family00's tier entries, (tier, index)."""
+    for name, i in entries:
+        tier = getattr(sets[0], name)
+        tier[i] = (rid, tier[i][1])
+
+
+# negative sets that do not fit their corpus, one damage each
+BAD_NEGATIVES = {
+    "bad_negatives.jsonl": lambda sets: _retag(sets, "ghost-record", ("hard", 0)),
+    "own_negatives.jsonl": lambda sets: _retag(sets, "family00-0003", ("diverse", 1)),
+    "repeated_negatives.jsonl": lambda sets: _retag(sets, "family01-0005", ("hard", 0),
+                                                    ("diverse", 0)),
+    "twice_negatives.jsonl": lambda sets: sets.append(sets[0]),
+    "stray_negatives.jsonl": lambda sets: setattr(sets[1], "family", "family07"),
+}
 
 
 # (stage, its inputs as (flag, synth run, file), the two files the error names, detail)
@@ -320,6 +381,20 @@ MISMATCHES = {
     "samples-unknown-negative": (
         "samples", [("embeddings", "a", "embeddings.emb1"), ("negatives", "a", "bad_negatives.jsonl")],
         ["negatives", "embeddings"], "family family00: no record 'ghost-record'"),
+    "samples-own-family-negative": (
+        "samples", [("embeddings", "a", "embeddings.emb1"), ("negatives", "a", "own_negatives.jsonl")],
+        ["negatives", "embeddings"],
+        "family family00: record 'family00-0003' is of the set's own family"),
+    "samples-repeated-negative": (
+        "samples", [("embeddings", "a", "embeddings.emb1"),
+                    ("negatives", "a", "repeated_negatives.jsonl")],
+        ["negatives", "embeddings"], "family family00: record 'family01-0005' is listed twice"),
+    "samples-family-twice": (
+        "samples", [("embeddings", "a", "embeddings.emb1"), ("negatives", "a", "twice_negatives.jsonl")],
+        ["negatives", "embeddings"], "family family00: more than one negative set"),
+    "samples-unknown-family": (
+        "samples", [("embeddings", "a", "embeddings.emb1"), ("negatives", "a", "stray_negatives.jsonl")],
+        ["negatives", "embeddings"], "negative set for unknown family 'family07'"),
     "train-cft-unknown-record": (
         "train-cft", [("embeddings", "a", "embeddings.emb1"), ("samples", "a", "bad_samples.jsonl")],
         ["samples", "embeddings"], "sample 1: no record 'nope'"),
@@ -353,6 +428,86 @@ MISMATCHES = {
         "ingest", [("embeddings", "a", "embeddings.emb1"), ("attributes", "short", "attributes.csv")],
         ["attributes", "embeddings"], "record 'family00-0020' has no attribute row"),
 }
+
+
+# --- damaged mining files: the stage that reads one exits 0, 1 or 2, and a
+# failure names the file and writes nothing
+
+# JSON values of every type, one of which replaces a value of another type
+JSON_VALUES = ["null", "true", "0", "1.5", '"x"', "[]", "{}"]
+STRAY_IDS = ["ghost-record", "family00-0003", "family01-0005", "family02-0011"]
+
+
+def _value_slots(obj):
+    """(container, key) of every value nested in a parsed JSON line."""
+    slots = []
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        slots.append((obj, key))
+        if isinstance(value, (dict, list)):
+            slots += _value_slots(value)
+    return slots
+
+
+def _id_slots(line, name):
+    """(container, key) of each record id of a negatives line (a tier entry,
+    [id, similarity]) or of a samples line (the id itself)."""
+    if name == "negatives.jsonl":
+        return [(line[tier], i) for tier in ("hard", "diverse") for i in range(len(line[tier]))]
+    return [(line, "anchor"), (line, "positive")] + [(line["negatives"], i)
+                                                     for i in range(len(line["negatives"]))]
+
+
+def _damage(raw, name, damage, draw):
+    """`raw` truncated, with one byte flipped, or with one line's value
+    retyped or one of its ids dropped or renamed."""
+    if damage == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if damage == "flip":
+        pos = draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([raw[pos] ^ draw(st.integers(1, 255))]) + raw[pos + 1 :]
+    lines = [json.loads(ln) for ln in raw.splitlines()]
+    line = lines[draw(st.integers(0, len(lines) - 1))]
+    if damage == "retype":
+        holder, key = draw(st.sampled_from(_value_slots(line)))
+        values = [json.loads(v) for v in JSON_VALUES]
+        holder[key] = draw(st.sampled_from([v for v in values if type(v) is not type(holder[key])]))
+    else:
+        holder, key = draw(st.sampled_from(_id_slots(line, name)))
+        if damage == "drop":
+            del holder[key]
+        elif name == "negatives.jsonl":
+            holder[key][0] = draw(st.sampled_from(STRAY_IDS))
+        else:
+            holder[key] = draw(st.sampled_from(STRAY_IDS))
+    return "".join(json.dumps(ln, sort_keys=True) + "\n" for ln in lines).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def damage_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damage")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["negatives.jsonl", "samples.jsonl"]),
+       damage=st.sampled_from(["truncate", "flip", "retype", "drop", "rename"]), data=st.data())
+def test_damaged_mining_file_exits_cleanly_naming_it(mismatched, damage_dir, name, damage, data):
+    a = mismatched / "a"
+    path, out = damage_dir / name, damage_dir / "out"
+    path.write_bytes(_damage((a / name).read_bytes(), name, damage, data.draw))
+    shutil.rmtree(out, ignore_errors=True)
+    if name == "negatives.jsonl":
+        # draws of whole tiers: a tier one id short cannot fill them
+        argv = ["samples", "--negatives", str(path), "--hard-per-sample", "6",
+                "--diverse-per-sample", "4", "--samples-per-anchor", "1"]
+    else:
+        argv = ["train-cft", "--samples", str(path), "--hidden-dim", "8", "--output-dim", "8"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--embeddings", str(a / "embeddings.emb1"), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err.getvalue() and str(path) in err.getvalue(), err.getvalue()
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("keep", [4, 0], ids=["short", "empty"])

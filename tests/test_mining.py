@@ -151,6 +151,37 @@ def test_mine_random_is_uniform_draw_with_slots():
 
 
 @pytest.mark.parametrize("strategy", ["similarity", "random"])
+def test_ranking_breaks_exact_ties_on_family_name_then_id(strategy):
+    # exact cosine ties across families and within one; `families` is not in
+    # name order, and "a\x00" (on the earlier row) sorts after "a" as a
+    # Python string, though numpy's fixed-width strings would make them equal
+    v1, v2, v3 = [1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 1.0, 0.0]
+    rows = [("y0", "Y", [1.0, 0.0, 0.0]), ("y1", "Y", [1.0, 0.0, 0.0]),
+            ("a\x00", "X", v1), ("c", "X", v2), ("a", "X", v1), ("d", "X", v3),
+            ("f", "P", v3), ("b", "P", v1), ("e", "P", v2)]
+    corpus = Corpus([DescriptionRecord(rid, fam, np.array(v)) for rid, fam, v in rows], 3,
+                    families=["Y", "X", "P"])
+    positives = select_positives(corpus)
+    oracle = sorted(((cosine_similarity(np.array(v), positives["Y"].embedding), fam, rid)
+                     for rid, fam, v in rows if fam != "Y"), key=lambda c: (-c[0], c[1], c[2]))
+    ranked = [rid for _, _, rid in oracle]
+    assert ranked[:4] == ["b", "a", "a\x00", "e"]  # the oracle itself breaks both ties
+    if strategy == "similarity":
+        cfg = MiningConfig(threshold=1.0, n_hard=4, n_diverse=2,
+                           negatives_hard_per_sample=1, negatives_diverse_per_sample=1)
+        ns = mine_negatives(corpus, positives, "Y", cfg)
+        diverse = [rid for rid, _ in ns.diverse]
+        assert [rid for rid, _ in ns.hard] == ranked[:4]
+        assert diverse == [rid for rid in ranked[4:] if rid in diverse]
+    else:
+        # all 7 foreign records drawn: the slots hold the whole ranking
+        cfg = MiningConfig(n_hard=4, n_diverse=3,
+                           negatives_hard_per_sample=1, negatives_diverse_per_sample=1)
+        ns = mine_random(corpus, positives, "Y", cfg)
+        assert [rid for rid, _ in ns.hard + ns.diverse] == ranked
+
+
+@pytest.mark.parametrize("strategy", ["similarity", "random"])
 def test_mine_all_matches_per_family_mining(strategy):
     rng = np.random.default_rng(14)
     corpus = random_corpus(rng, n_families=4, lo=15, hi=20)
