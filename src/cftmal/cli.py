@@ -26,6 +26,8 @@ import hashlib
 import os
 import sys
 
+import numpy as np
+
 from . import cft, data, metrics, mining
 from .distill import KdConfig
 from .fusion import FusionModel, TeacherModel, init_fusion, teacher_train
@@ -141,8 +143,12 @@ def _cmd_ingest(v, emb_path, attr_path):
 
 
 def _cmd_mine(v, mcfg, path):
-    corpus = data.load_embeddings(v["embeddings"])
-    sets = mining.mine_all(corpus, mining.select_positives(corpus), mcfg, v["strategy"])
+    emb_path = v["embeddings"]
+    corpus = data.load_embeddings(emb_path)
+    try:
+        sets = mining.mine_all(corpus, mining.select_positives(corpus), mcfg, v["strategy"])
+    except mining.ShortageError as exc:  # too few foreign records for the tiers
+        raise ValueError(f"{emb_path}: {exc}") from exc
     mining.negative_sets_to_jsonl(path, sets)
     return f"{len(sets)} families ({v['strategy']}, threshold {mcfg.threshold}) -> {path}"
 
@@ -201,7 +207,8 @@ def _cmd_teacher(v, path):
 def _meta_inputs(v, mamlcfg):
     """The embeddings, attribute pool and optional teacher of maml and eval,
     and `fit(model, path)`, which checks that a loaded student or teacher
-    fits them. Every family must fill the stage's largest episode."""
+    fits them and gives finite logits on every pool row. Every family must
+    fill the stage's largest episode."""
     emb_path, attr_path = v["embeddings"], v["attributes"]
     corpus = data.load_embeddings(emb_path)
     attrs = data.load_attributes(attr_path)
@@ -220,6 +227,13 @@ def _meta_inputs(v, mamlcfg):
         for what, have, want, other in checks:
             if have != want:
                 raise _mismatch(path, other, f"{what} {have} in the model, {want} in the input")
+        # the reader takes finite weights, but a near-maximal one overflows float32
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(model.forward(pool.attrs, pool.embs)).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"{path}: non-finite logits on record {row} "
+                             f"({corpus.ids[row]!r}) of {emb_path}")
         return model
 
     teacher_path = v["teacher"]

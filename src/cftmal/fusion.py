@@ -19,9 +19,9 @@ A float64 twin, `model.bound_to(model.params.astype(np.float64))`,
 computes in float64.
 
 The Hessian-vector product is computed by a forward-over-reverse sweep:
-a parameter tangent is carried through the forward pass and then through
-the explicit backward pass, yielding the directional derivative of the
-gradient without forming any Hessian.
+a parameter tangent is pushed through the caches of the gradient pass's
+own forward and then through the explicit backward pass, yielding the
+directional derivative of the gradient without forming any Hessian.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .numeric import (
     chain_backward,
     chain_backward_jvp,
     chain_forward,
-    chain_forward_jvp,
     chain_output,
     chain_params,
+    chain_tangent,
     init_dense,
     n_params,
     rebind_params,
@@ -179,23 +179,23 @@ class FusionModel:
         return loss, grads
 
     def hvp(self, attrs, embs, labels, vec, kd=None):
-        """Hessian-vector product of the mean loss w.r.t. the flat parameters."""
+        """Hessian-vector product of the mean loss w.r.t. the flat parameters:
+        `vec` pushed through forward_cache's caches, then back."""
+        logits, (caches, ch) = self.forward_cache(attrs, embs)
         *branch_vecs, head_vec = self._cuts(vec)
-        outs, touts, caches = [], [], []
-        for branch, x, dp in zip(self.branches, (attrs, embs), branch_vecs):
-            a, da, c = chain_forward_jvp(branch, dp, x)  # inputs carry no tangent
-            outs.append(a)
-            touts.append(da)
-            caches.append(c)
-        logits, dlogits, ch = chain_forward_jvp(self.head, head_vec, _concat(outs), _concat(touts))
+        # the inputs carry no tangent
+        tangents = [chain_tangent(b, c, dp) for b, c, dp in zip(self.branches, caches, branch_vecs)]
+        dlogits, head_dxs = chain_tangent(self.head, ch, head_vec,
+                                          _concat([da for da, _ in tangents]))
         _, gl = logits_loss(logits, labels, kd)
         dgl = logits_loss_jvp(logits, dlogits, kd)
         dgrads = np.empty_like(self.params)
         *branch_out, head_out = self._cuts(dgrads)
-        _, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, gl, dgl, out=head_out)
+        _, gh, dgh = chain_backward_jvp(self.head, head_vec, ch, head_dxs, gl, dgl, out=head_out)
         cols = zip(self._branch_columns(gh), self._branch_columns(dgh))
-        for branch, dp, c, (g, dg), out in zip(self.branches, branch_vecs, caches, cols, branch_out):
-            chain_backward_jvp(branch, dp, c, g, dg, input_grad=False, out=out)
+        for branch, dp, c, (_, dxs), (g, dg), out in zip(self.branches, branch_vecs, caches,
+                                                         tangents, cols, branch_out):
+            chain_backward_jvp(branch, dp, c, dxs, g, dg, input_grad=False, out=out)
         return dgrads
 
     def save(self, path) -> None:

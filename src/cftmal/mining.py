@@ -80,6 +80,8 @@ class MiningConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Each field alone; the draw sizes are checked against the tiers that
+        `build_samples` is given, not against `n_hard` / `n_diverse`."""
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         for name in ("n_hard", "n_diverse", "negatives_hard_per_sample",
@@ -90,10 +92,6 @@ class MiningConfig:
             raise ValueError("samples_per_anchor must be >= 1")
         if self.negatives_hard_per_sample + self.negatives_diverse_per_sample < 1:
             raise ValueError("negatives_hard_per_sample + negatives_diverse_per_sample must be >= 1")
-        if self.negatives_hard_per_sample > self.n_hard:
-            raise ValueError("negatives_hard_per_sample exceeds n_hard")
-        if self.negatives_diverse_per_sample > self.n_diverse:
-            raise ValueError("negatives_diverse_per_sample exceeds n_diverse")
 
 
 def _family_rng(seed: int, family: str, salt: str = "") -> np.random.Generator:

@@ -75,21 +75,15 @@ def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Genera
     return DenseLayer(w, np.zeros(out_dim), activation)
 
 
-def _preactivation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    x = _as_matrix(x, "x", layer.weights.dtype)
-    if x.shape[1] != layer.in_dim:
-        raise ShapeError(f"input dim {x.shape[1]} != layer in dim {layer.in_dim}")
-    z = x @ layer.weights.T
-    z += layer.bias
-    return z
-
-
 def _layer_step(layer: DenseLayer, x):
     """(x as the layer reads it, the layer's output). Relu runs in place on
     the pre-activation, so its output is also its backward mask source:
     relu(z) > 0 holds exactly where z > 0, NaN and -0.0 included."""
     x = _as_matrix(x, "x", layer.weights.dtype)
-    out = _preactivation(layer, x)
+    if x.shape[1] != layer.in_dim:
+        raise ShapeError(f"input dim {x.shape[1]} != layer in dim {layer.in_dim}")
+    out = x @ layer.weights.T
+    out += layer.bias
     if layer.activation == "relu":
         np.maximum(out, 0.0, out=out)
     return x, out
@@ -116,7 +110,7 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
         )
     if layer.activation == "relu":
         if z is None:
-            z = _preactivation(layer, x)
+            z = _layer_step(layer, x)[1]
         dz = upstream * (z > 0.0)
     else:
         dz = upstream
@@ -267,23 +261,25 @@ def chain_backward(layers, caches, upstream, input_grad: bool = True, out=None):
 
 # ---------------------------------------------------------------------------
 # Forward-over-reverse helpers used by the second-order meta-gradient path.
-# A "tangent" mirrors the structure of the value it accompanies; the pair
-# (value, tangent) propagates a directional derivative alongside the value.
+# A "tangent" mirrors the structure of the value it accompanies: chain_tangent
+# pushes one through chain_forward's caches, and chain_backward_jvp carries
+# it back through the explicit backward pass.
 
 
-def layer_forward_jvp(layer: DenseLayer, dW: np.ndarray, db: np.ndarray, x: np.ndarray, dx):
-    """Forward pass with a parameter/input tangent; dx None is a zero input
-    tangent, whose products are skipped.
-
-    Returns (a, da, z) where a is the activation, da its tangent and z the
-    cached pre-activation.
-    """
-    z = _preactivation(layer, x)
-    dz = x @ dW.T + db if dx is None else dx @ layer.weights.T + x @ dW.T + db
-    if layer.activation == "relu":
-        mask = z > 0.0
-        return np.maximum(z, 0.0), dz * mask, z
-    return z, dz, z
+def chain_tangent(layers, caches, dparams, dx=None):
+    """The tangent of chain_forward's output along dparams, the chain's flat
+    parameter tangent, and dx, the input tangent (None for zero, whose
+    products are skipped), read off chain_forward's caches. Returns (output
+    tangent, each layer's input tangent) for chain_backward_jvp. A relu
+    layer masks by its output, positive exactly where its pre-activation is."""
+    views = param_views(layers, dparams)
+    dxs = []
+    for layer, (x, out), dW, db in zip(layers, caches, views[::2], views[1::2]):
+        dxs.append(dx)
+        dx = x @ dW.T + db if dx is None else dx @ layer.weights.T + x @ dW.T + db
+        if layer.activation == "relu":
+            dx *= out > 0.0
+    return dx, dxs
 
 
 def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: bool = True,
@@ -292,9 +288,10 @@ def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: boo
 
     Returns ((dgW, dgb), gx, dgx): the weight and bias gradient tangents
     (written into `out`'s arrays if given; the values are not computed),
-    the input gradient and its tangent, None with input_grad False. dx
-    None is a zero input tangent. The relu mask is treated as locally
-    constant (its derivative is zero almost everywhere).
+    the input gradient and its tangent, None with input_grad False. `z`
+    is the layer's output, as in layer_backward, and dx None is a zero
+    input tangent. The relu mask is treated as locally constant (its
+    derivative is zero almost everywhere).
     """
     if layer.activation == "relu":
         mask = z > 0.0
@@ -318,24 +315,10 @@ def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return p * (dz - inner)
 
 
-def chain_forward_jvp(layers, dparams, x, dx=None):
-    """chain_forward carrying a tangent: dparams is the chain's flat
-    parameter tangent and dx the input tangent (None for zero). Returns
-    (output, output tangent, caches)."""
-    views = param_views(layers, dparams)
-    caches = []
-    a, da = x, dx
-    for layer, dW, db in zip(layers, views[::2], views[1::2]):
-        a = _as_matrix(a, "x", layer.weights.dtype)
-        a_next, da_next, z = layer_forward_jvp(layer, dW, db, a, da)
-        caches.append((a, da, z))
-        a, da = a_next, da_next
-    return a, da, caches
-
-
-def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad: bool = True,
+def chain_backward_jvp(layers, dparams, caches, dxs, upstream, dupstream, input_grad: bool = True,
                        out=None):
-    """Tangents of chain_backward's gradients.
+    """Tangents of chain_backward's gradients, from chain_forward's caches
+    and chain_tangent's input tangents `dxs`.
 
     Returns (flat grad tangent vector, written into `out` if given,
     grad_input, grad_input tangent). The value gradients are not
@@ -348,7 +331,7 @@ def chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad:
     views = param_views(layers, dgrads)
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):
-        x, dx, z = caches[i]
-        _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dx, g, dg, z,
+        x, z = caches[i]
+        _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dxs[i], g, dg, z,
                                       input_grad=input_grad or i > 0, out=views[2 * i : 2 * i + 2])
     return dgrads, g, dg

@@ -113,7 +113,31 @@ def test_shortage_is_reported_with_exit_1(tmp_path, capsys):
                "--out", str(out))
     err = capsys.readouterr().err
     assert code == 1
-    assert "cftmal mine: error:" in err
+    assert f"cftmal mine: error: {out / 'embeddings.emb1'}: family 'family00': " in err
+    assert not (out / "negatives.jsonl").exists()
+
+
+@pytest.mark.parametrize("hard", [25, 31])
+def test_samples_draws_against_the_tiers_of_the_negatives_file(tmp_path, capsys, hard):
+    """`samples` sizes its draws by the tiers the file holds (30 hard here),
+    not by the config's `n_hard` (20 by default), which it does not use."""
+    emb, negatives = tmp_path / "embeddings.emb1", tmp_path / "negatives.jsonl"
+    assert run("synth", "--out", str(tmp_path), "--families", "3", "--records", "40") == 0
+    assert run("mine", "--out", str(tmp_path), "--embeddings", str(emb), "--n-hard", "30",
+               "--n-diverse", "12", "--threshold", "1.0") == 0
+    capsys.readouterr()
+    code = run("samples", "--out", str(tmp_path), "--embeddings", str(emb),
+               "--negatives", str(negatives), "--hard-per-sample", str(hard))
+    err = capsys.readouterr().err
+    if hard == 25:
+        assert code == 0
+        lines = [json.loads(ln) for ln in (tmp_path / "samples.jsonl").read_text().splitlines()]
+        assert len(lines) == 3 * 40 * 4 and {len(ln["negatives"]) for ln in lines} == {25 + 3}
+    else:
+        assert code == 1
+        assert (f"cftmal samples: error: {negatives}: family 'family00': hard tier has 30, "
+                f"need 31") in err and "Traceback" not in err
+        assert not (tmp_path / "samples.jsonl").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -458,13 +482,15 @@ def _id_slots(line, name):
 
 
 def _damage(raw, name, damage, draw):
-    """`raw` truncated, with one byte flipped, or with one line's value
-    retyped or one of its ids dropped or renamed."""
+    """`raw` truncated, with one byte flipped or appended, or with one line's
+    value retyped or one of its ids dropped or renamed."""
     if damage == "truncate":
         return raw[: draw(st.integers(0, len(raw) - 1))]
     if damage == "flip":
         pos = draw(st.integers(0, len(raw) - 1))
         return raw[:pos] + bytes([raw[pos] ^ draw(st.integers(1, 255))]) + raw[pos + 1 :]
+    if damage == "append":
+        return raw + bytes([draw(st.integers(0, 255))])
     lines = [json.loads(ln) for ln in raw.splitlines()]
     line = lines[draw(st.integers(0, len(lines) - 1))]
     if damage == "retype":
@@ -504,6 +530,40 @@ def test_damaged_mining_file_exits_cleanly_naming_it(mismatched, damage_dir, nam
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv + ["--embeddings", str(a / "embeddings.emb1"), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err.getvalue() and str(path) in err.getvalue(), err.getvalue()
+        assert list(out.iterdir()) == []
+
+
+# the stage that reads each checkpoint, with the flag that names it and the
+# other inputs of the module's small chain it takes
+CHECKPOINT_READERS = {
+    "adapter.adp1": ["refine", "--embeddings", "embeddings.emb1", "--adapter"],
+    "teacher.tch1": ["maml", "--embeddings", "embeddings.emb1", "--attributes", "attributes.csv",
+                     "--order", "second", "--meta-iterations", "1", "--inner-steps", "1",
+                     "--n-support", "5", "--n-query", "5", "--tasks-per-meta-batch", "1",
+                     "--teacher"],
+    "student.fus1": ["eval", "--embeddings", "embeddings.emb1", "--attributes", "attributes.csv",
+                     "--episodes", "1", "--inner-steps", "1", "--support-sizes", "5", "--student"],
+}
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(name=st.sampled_from(list(CHECKPOINT_READERS)),
+       damage=st.sampled_from(["truncate", "flip", "append"]), data=st.data())
+def test_damaged_checkpoint_exits_cleanly_naming_it(mismatched, damage_dir, name, damage, data):
+    a = mismatched / "a"
+    path, out = damage_dir / name, damage_dir / "out"
+    path.write_bytes(_damage((a / name).read_bytes(), name, damage, data.draw))
+    shutil.rmtree(out, ignore_errors=True)
+    stage, *argv = CHECKPOINT_READERS[name]
+    argv = [str(a / arg) if arg.endswith((".emb1", ".csv")) else arg for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a weight whose exponent was flipped
+        code = main([stage, *argv, str(path), "--out", str(out)])
     assert code in (0, 1, 2)
     if code:
         assert "error:" in err.getvalue() and str(path) in err.getvalue(), err.getvalue()
@@ -678,6 +738,13 @@ def _taking(layer, width):
     return DenseLayer(np.zeros((layer.out_dim, width)), layer.bias, layer.activation)
 
 
+def _overflowing(layers):
+    """`layers` with one first-layer weight near the float32 maximum: finite,
+    so the reader takes it, but the logits overflow."""
+    layers[0].weights[0, 0] = 3e38
+    return layers
+
+
 # (stage, the checkpoint's flag and file, the edit of its layers, the other
 # inputs, the output the stage must not write, detail)
 BAD_CHECKPOINTS = {
@@ -695,6 +762,12 @@ BAD_CHECKPOINTS = {
     "teacher-widths": (
         "maml", "teacher", "teacher.tch1", lambda ls: [ls[0], _taking(ls[1], 100), ls[2]],
         ["embeddings", "attributes"], "student.fus1", "layer 1 takes 100 inputs, layer 0 gives 256"),
+    "teacher-overflow": (
+        "maml", "teacher", "teacher.tch1", _overflowing, ["embeddings", "attributes"],
+        "student.fus1", "non-finite logits on record "),
+    "student-overflow": (
+        "eval", "student", "student.fus1", _overflowing, ["embeddings", "attributes"],
+        "eval.csv", "non-finite logits on record "),
 }
 
 

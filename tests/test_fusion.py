@@ -5,17 +5,27 @@ import pytest
 
 from cftmal.cft import init_adapter
 from cftmal.data import Corpus, DescriptionRecord, FormatError
+from cftmal.distill import logits_loss, logits_loss_jvp
 from cftmal.fusion import (
     PARAM_DTYPE,
     FusionModel,
     TeacherModel,
+    _concat,
     batch_arrays,
     init_fusion,
     init_teacher,
     teacher_train,
 )
 from cftmal.meta import build_pool
-from cftmal.numeric import DenseLayer, ShapeError, adamw_init, adamw_step, param_views
+from cftmal.numeric import (
+    DenseLayer,
+    ShapeError,
+    _as_matrix,
+    adamw_init,
+    adamw_step,
+    layer_backward_jvp,
+    param_views,
+)
 
 
 def tiny_fusion(rng):
@@ -270,6 +280,88 @@ def test_forward_is_forward_cache_logits_bit_for_bit(kind, dtype):
     x = inputs[0].copy()
     x[0, 0], x[1] = np.nan, -0.0
     assert model.forward(x, inputs[1]).tobytes() == model.forward_cache(x, inputs[1])[0].tobytes()
+
+
+# The Hessian-vector product as it stood when it ran its own tangent-carrying
+# forward, kept op for op: `FusionModel.hvp` must match it bit for bit.
+
+
+def frozen_layer_forward_jvp(layer, dW, db, x, dx):
+    x = _as_matrix(x, "x", layer.weights.dtype)
+    z = x @ layer.weights.T
+    z += layer.bias
+    dz = x @ dW.T + db if dx is None else dx @ layer.weights.T + x @ dW.T + db
+    if layer.activation == "relu":
+        mask = z > 0.0
+        return np.maximum(z, 0.0), dz * mask, z
+    return z, dz, z
+
+
+def frozen_chain_forward_jvp(layers, dparams, x, dx=None):
+    views = param_views(layers, dparams)
+    caches = []
+    a, da = x, dx
+    for layer, dW, db in zip(layers, views[::2], views[1::2]):
+        a = _as_matrix(a, "x", layer.weights.dtype)
+        a_next, da_next, z = frozen_layer_forward_jvp(layer, dW, db, a, da)
+        caches.append((a, da, z))
+        a, da = a_next, da_next
+    return a, da, caches
+
+
+def frozen_chain_backward_jvp(layers, dparams, caches, upstream, dupstream, input_grad=True,
+                              out=None):
+    dviews = param_views(layers, dparams)
+    views = param_views(layers, out)
+    g, dg = upstream, dupstream
+    for i in range(len(layers) - 1, -1, -1):
+        x, dx, z = caches[i]
+        _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dx, g, dg, z,
+                                      input_grad=input_grad or i > 0, out=views[2 * i : 2 * i + 2])
+    return out, g, dg
+
+
+def frozen_hvp(model, attrs, embs, labels, vec, kd=None):
+    *branch_vecs, head_vec = model._cuts(vec)
+    outs, touts, caches = [], [], []
+    for branch, x, dp in zip(model.branches, (attrs, embs), branch_vecs):
+        a, da, c = frozen_chain_forward_jvp(branch, dp, x)
+        outs.append(a)
+        touts.append(da)
+        caches.append(c)
+    logits, dlogits, ch = frozen_chain_forward_jvp(model.head, head_vec, _concat(outs), _concat(touts))
+    _, gl = logits_loss(logits, labels, kd)
+    dgl = logits_loss_jvp(logits, dlogits, kd)
+    dgrads = np.empty_like(model.params)
+    *branch_out, head_out = model._cuts(dgrads)
+    _, gh, dgh = frozen_chain_backward_jvp(model.head, head_vec, ch, gl, dgl, out=head_out)
+    cols = zip(model._branch_columns(gh), model._branch_columns(dgh))
+    for branch, dp, c, (g, dg), out in zip(model.branches, branch_vecs, caches, cols, branch_out):
+        frozen_chain_backward_jvp(branch, dp, c, g, dg, input_grad=False, out=out)
+    return dgrads
+
+
+@pytest.mark.parametrize("rows", ["dense", "nan-row", "negative-zero-row"])
+@pytest.mark.parametrize("kd", [False, True], ids=["ce", "kd"])
+@pytest.mark.parametrize("kind", ["student", "teacher", "adapter"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hvp_is_bit_identical_to_the_frozen_twin_forward(kind, dtype, kd, rows):
+    """The FUS1, TCH1 and ADP1 layouts and their float64 twins, with and
+    without KD; a NaN row and a -0.0 row reach every relu mask."""
+    model, (attrs, embs), labels = pipeline_model(kind)
+    model = model.bound_to(model.params.astype(dtype))
+    attrs = attrs.copy()
+    if rows == "nan-row":
+        attrs[2] = np.nan
+    elif rows == "negative-zero-row":
+        attrs[2] = -0.0
+    vec = np.random.default_rng(21).standard_normal(model.params.size).astype(dtype)
+    teacher = (0.5 * model.forward(attrs, embs), 0.3, 2.0) if kd else None
+    with np.errstate(invalid="ignore"):
+        got = model.hvp(attrs, embs, labels, vec, kd=teacher)
+        want = frozen_hvp(model, attrs, embs, labels, vec, kd=teacher)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_forward_shape_checks_stay():

@@ -57,7 +57,7 @@ def test_per_family_mining_is_called_from_mining_only():
     assert offenders == []
 
 
-CHAIN_PASSES = {"chain_forward", "chain_output", "chain_backward", "chain_forward_jvp",
+CHAIN_PASSES = {"chain_forward", "chain_output", "chain_backward", "chain_tangent",
                 "chain_backward_jvp"}
 
 

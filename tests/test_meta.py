@@ -171,9 +171,9 @@ def test_inner_adapt_never_mutates_shared_init():
 
 
 def count_passes(monkeypatch):
-    """Count model forward passes: every loss_and_grads and query pass goes
-    through forward_cache, an inference pass through the cache-free
-    forward; hvp runs neither."""
+    """Count model forward passes: every loss_and_grads, hvp and query pass
+    goes through forward_cache, an inference pass through the cache-free
+    forward."""
     calls = []
     for name in ("forward_cache", "forward"):
         def counted(self, *args, real=getattr(FusionModel, name), **kwargs):
@@ -192,7 +192,8 @@ def test_task_does_one_query_pass(monkeypatch, order):
     ep = sample_episode(pool, cfg, seed=5)
     calls = count_passes(monkeypatch)
     _task_meta_gradient(model, ep, cfg, None, None)
-    assert len(calls) == cfg.inner_steps + 1
+    hvps = cfg.inner_steps if order == "second" else 0  # each runs the gradient pass's forward
+    assert len(calls) == cfg.inner_steps + hvps + 1
 
 
 def test_eval_episode_skips_final_support_pass(monkeypatch):

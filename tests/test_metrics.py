@@ -299,6 +299,15 @@ def test_run_pipeline_stage_error_names_stage():
     assert exc.value.stage == "split"
 
 
+def test_draws_larger_than_the_hard_tier_fail_at_samples():
+    corpus, attrs = tiny_data(2)
+    settings = tiny_settings()
+    settings.mining.negatives_hard_per_sample = settings.mining.n_hard + 1
+    with pytest.raises(PipelineStageError, match="hard tier has 8, need 9") as exc:
+        run_pipeline("similarity_cft", corpus, attrs, settings, seed=0)
+    assert exc.value.stage == "samples"
+
+
 def test_unfillable_train_pool_fails_at_split(calls):
     corpus, attrs = tiny_data(5)  # 80 records a family: 60 train, 20 meta-test
     settings = tiny_settings()
