@@ -30,9 +30,10 @@ import numpy as np
 
 from . import cft, data, metrics, mining
 from .distill import KdConfig
-from .fusion import FusionModel, TeacherModel, init_fusion, teacher_train
+from .fusion import PARAM_DTYPE, FusionModel, TeacherModel, init_fusion, teacher_train
 from .meta import (MamlConfig, build_pool, check_episode_fits, eval_report_to_csv,
                    evaluate_few_shot, maml_train)
+from .numeric import NonFiniteError
 
 
 class ConfigError(ValueError):
@@ -195,8 +196,21 @@ def _cmd_refine(v, path):
             f"-> {path} (sha256 {_sha256(path)[:16]})")
 
 
+def _model_attributes(path):
+    """The attribute table at `path`, which the models read in float32: a
+    value finite as float64 but not as float32 would overflow their passes."""
+    attrs = data.load_attributes(path)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(attrs.vectors.astype(PARAM_DTYPE)).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}: row {bad + 2} ({attrs.ids[bad]!r}): "
+                         "non-finite value as float32")
+    return attrs
+
+
 def _cmd_teacher(v, path):
-    attrs = data.load_attributes(v["attributes"])
+    attrs = _model_attributes(v["attributes"])
     teacher, trace = teacher_train(attrs, lr=v["teacher_lr"],
                                    epochs=v["teacher_epochs"], seed=v["seed"])
     teacher.save(path)
@@ -211,7 +225,7 @@ def _meta_inputs(v, mamlcfg):
     fill the stage's largest episode."""
     emb_path, attr_path = v["embeddings"], v["attributes"]
     corpus = data.load_embeddings(emb_path)
-    attrs = data.load_attributes(attr_path)
+    attrs = _model_attributes(attr_path)
     try:
         pool = build_pool(corpus, attrs)
     except ValueError as exc:
@@ -245,7 +259,10 @@ def _cmd_maml(v, mamlcfg, kd, path, hist_path):
     corpus, pool, teacher, _ = _meta_inputs(v, mamlcfg)
     kd = kd if teacher else None
     student = init_fusion(pool.attrs.shape[1], corpus.dim, len(corpus.families), mamlcfg.seed)
-    student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
+    try:
+        student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
+    except NonFiniteError as exc:  # inputs that drive a fresh student past float32
+        raise ValueError(f"{v['embeddings']} and {v['attributes']}: {exc}") from exc
     student.save(path)
     data.write_csv(hist_path, ["iteration", "query_loss", "query_accuracy"],
                    ([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])]
@@ -259,8 +276,12 @@ def _cmd_eval(v, mamlcfg, kd, path):
     corpus, pool, teacher, fit = _meta_inputs(v, mamlcfg)
     kd = kd if teacher else None
     student = fit(FusionModel.load(v["student"]), v["student"])
-    rows = evaluate_few_shot(student, pool, mamlcfg, v["episodes"],
-                             support_sizes=v["support_sizes"], teacher=teacher, kd_cfg=kd)
+    try:
+        rows = evaluate_few_shot(student, pool, mamlcfg, v["episodes"],
+                                 support_sizes=v["support_sizes"], teacher=teacher, kd_cfg=kd)
+    except NonFiniteError as exc:  # finite logits at load, diverged in the inner loop
+        raise ValueError(f"{v['student']}: {exc} on {v['embeddings']} and "
+                         f"{v['attributes']}") from exc
     eval_report_to_csv(path, rows)
     best = max(rows, key=lambda r: r["mean_accuracy"])
     return (f"{len(rows)} support sizes x {rows[0]['n_episodes']} episodes, "

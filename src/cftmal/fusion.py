@@ -19,15 +19,17 @@ A float64 twin, `model.bound_to(model.params.astype(np.float64))`,
 computes in float64.
 
 The Hessian-vector product is computed by a forward-over-reverse sweep:
-a parameter tangent is pushed through the caches of the gradient pass's
-own forward and then through the explicit backward pass, yielding the
-directional derivative of the gradient without forming any Hessian.
+a parameter tangent is pushed through the caches of a gradient pass's
+forward (its `Linearization`) and then through the explicit backward
+pass, yielding the directional derivative of the gradient without forming
+any Hessian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,18 @@ PARAM_DTYPE = np.float32  # the parameters of every model the pipeline builds or
 def batch_arrays(batch):
     """The (attrs, embs, labels) arrays of a `meta.Batch`."""
     return tuple(batch)
+
+
+class Linearization(NamedTuple):
+    """A model's forward and loss on one batch at fixed parameters: the
+    mean loss, the logits, `forward_cache`'s caches, the loss gradient
+    w.r.t. the logits and the KD tuple the loss was taken with."""
+
+    loss: float
+    logits: np.ndarray
+    cache: tuple
+    grad_logits: np.ndarray
+    kd: tuple | None
 
 
 def _concat(parts):
@@ -168,26 +182,32 @@ class FusionModel:
             chain_backward(branch, c, g, input_grad=False, out=out)
         return grads
 
-    def loss_grads_logits(self, attrs, embs, labels, kd=None):
-        """One forward/backward pass: (mean loss, gradients, logits)."""
+    def linearize(self, attrs, embs, labels, kd=None) -> "Linearization":
+        """The forward and loss half of a gradient pass: what `backward` and
+        `hvp` read at these parameters."""
         logits, cache = self.forward_cache(attrs, embs)
         loss, gl = logits_loss(logits, labels, kd)
-        return loss, self.backward(cache, gl), logits
+        return Linearization(loss, logits, cache, gl, kd)
+
+    def loss_grads_logits(self, attrs, embs, labels, kd=None):
+        """One forward/backward pass: (mean loss, gradients, logits)."""
+        lin = self.linearize(attrs, embs, labels, kd)
+        return lin.loss, self.backward(lin.cache, lin.grad_logits), lin.logits
 
     def loss_and_grads(self, attrs, embs, labels, kd=None):
         loss, grads, _ = self.loss_grads_logits(attrs, embs, labels, kd)
         return loss, grads
 
-    def hvp(self, attrs, embs, labels, vec, kd=None):
+    def hvp(self, lin, vec):
         """Hessian-vector product of the mean loss w.r.t. the flat parameters:
-        `vec` pushed through forward_cache's caches, then back."""
-        logits, (caches, ch) = self.forward_cache(attrs, embs)
+        `vec` pushed through the caches of `lin`, a `linearize` at these
+        parameters, then back. It runs no forward and no loss of its own."""
+        _, logits, (caches, ch), gl, kd = lin
         *branch_vecs, head_vec = self._cuts(vec)
         # the inputs carry no tangent
         tangents = [chain_tangent(b, c, dp) for b, c, dp in zip(self.branches, caches, branch_vecs)]
         dlogits, head_dxs = chain_tangent(self.head, ch, head_vec,
                                           _concat([da for da, _ in tangents]))
-        _, gl = logits_loss(logits, labels, kd)
         dgl = logits_loss_jvp(logits, dlogits, kd)
         dgrads = np.empty_like(self.params)
         *branch_out, head_out = self._cuts(dgrads)

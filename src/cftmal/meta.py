@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Corpus, attribute_rows, write_csv
-from .numeric import ShapeError, adamw_init, adamw_step
+from .numeric import NonFiniteError, ShapeError, adamw_init, adamw_step
 
 
 class Batch(NamedTuple):
@@ -156,20 +156,40 @@ def second_order_meta_gradient(theta0, support_grad_fn, support_hvp_fn,
     return v, thetas[-1]
 
 
+def _support_passes(model, support):
+    """(support_grad, support_hvp) for `second_order_meta_gradient` on a
+    _support_batch: each support pass runs once.
+
+    support_grad(theta) linearizes the support loss at theta and keeps the
+    linearization; support_hvp(theta, v) takes the last one kept, which
+    must be theta's. second_order_meta_gradient visits theta_0 ...
+    theta_{K-1} and then the same arrays in reverse, so each HVP reuses
+    the forward and logits gradient of its step's gradient pass.
+    """
+    attrs, embs, labels, kd = support
+    linearized = []  # (theta, model bound to it, its linearization), last on top
+
+    def support_grad(params):
+        bound = model.bound_to(params)
+        lin = bound.linearize(attrs, embs, labels, kd=kd)
+        linearized.append((params, bound, lin))
+        return bound.backward(lin.cache, lin.grad_logits)
+
+    def support_hvp(params, vec):
+        if not linearized or linearized[-1][0] is not params:
+            raise RuntimeError("support_hvp: params are not the last support point linearized")
+        _, bound, lin = linearized.pop()
+        return bound.hvp(lin, vec)
+
+    return support_grad, support_hvp
+
+
 def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cfg):
     support = _support_batch(episode.support, teacher, kd_cfg)
     q_attrs, q_embs, q_labels = episode.query
     kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
     if cfg.order == "second":
-        s_attrs, s_embs, s_labels, kd_inner = support
         query = {}
-
-        def support_grad(params):
-            _, g = model.bound_to(params).loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
-            return g
-
-        def support_hvp(params, vec):
-            return model.bound_to(params).hvp(s_attrs, s_embs, s_labels, vec, kd=kd_inner)
 
         def query_grad(params):
             query["loss"], g, query["logits"] = model.bound_to(params).loss_grads_logits(
@@ -177,7 +197,7 @@ def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cf
             return g
 
         meta_grad, _ = second_order_meta_gradient(
-            model.params, support_grad, support_hvp, query_grad,
+            model.params, *_support_passes(model, support), query_grad,
             cfg.inner_steps, cfg.inner_lr,
         )
         q_loss, logits = query["loss"], query["logits"]
@@ -193,7 +213,8 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
     """One outer-loop update over a meta-batch of episodes.
 
     Mutates the model parameters via AdamW; returns (opt_state, mean query
-    loss, mean query accuracy).
+    loss, mean query accuracy). A meta-gradient that is not finite raises
+    NonFiniteError and leaves the parameters as they were.
     """
     cfg.validate()
     if not episodes:
@@ -211,6 +232,8 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
         losses.append(q_loss)
         accs.append(q_acc)
     grads /= len(episodes)
+    if not np.isfinite(grads).all():
+        raise NonFiniteError("non-finite meta-gradient")
     adamw_step(opt_state, model.params, grads)
     return opt_state, float(np.mean(losses)), float(np.mean(accs))
 
@@ -238,9 +261,12 @@ def maml_train(model, pool, cfg: MamlConfig, teacher=None, kd_cfg=None):
             sample_episode(pool, cfg, seed=_derive_seed(cfg.seed, it, t))
             for t in range(cfg.tasks_per_meta_batch)
         ]
-        opt_state, q_loss, q_acc = meta_step(
-            model, episodes, cfg, opt_state, teacher=teacher, kd_cfg=kd_cfg
-        )
+        try:
+            opt_state, q_loss, q_acc = meta_step(
+                model, episodes, cfg, opt_state, teacher=teacher, kd_cfg=kd_cfg
+            )
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"meta-iteration {it}: {exc}") from exc
         history.append({"iteration": it, "query_loss": q_loss, "query_accuracy": q_acc})
     return model, history
 
@@ -255,7 +281,8 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
     """Adapt-and-measure over seeded episodes from the meta-test pool.
 
     Returns rows of {support_size, n_episodes, mean_accuracy, std_accuracy,
-    seed}, one per support size.
+    seed}, one per support size. Raises NonFiniteError if an adapted
+    model's query logits are not all finite.
     """
     cfg.validate()
     if n_episodes < 1:
@@ -275,8 +302,12 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
                 cfg.inner_steps, cfg.inner_lr,
             )
             attrs, embs, labels = ep.query
-            preds = adapted.forward(attrs, embs).argmax(axis=1)
-            accs.append(float(np.mean(preds == labels)))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                logits = adapted.forward(attrs, embs)
+            if not np.isfinite(logits).all():
+                raise NonFiniteError(f"{size}-shot episode {e}: non-finite query logits "
+                                     f"after {cfg.inner_steps} inner steps")
+            accs.append(float(np.mean(logits.argmax(axis=1) == labels)))
         rows.append({
             "support_size": size,
             "n_episodes": n_episodes,

@@ -24,6 +24,11 @@ class ShapeError(ValueError):
     """Raised when operand shapes are inconsistent."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when training or adaptation reaches values that are not
+    finite: no parameters or accuracy can be read off them."""
+
+
 def _as_float(a) -> np.ndarray:
     """`a` as an array of float32 or float64, kept as given; any other dtype as float64."""
     a = np.asarray(a)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cftmal
-from cftmal import mining
+from cftmal import data, mining
 from cftmal.cft import CftConfig
 from cftmal.cli import _build_parser, _config, main
 from cftmal.data import Corpus, write_embeddings
@@ -570,6 +570,89 @@ def test_damaged_checkpoint_exits_cleanly_naming_it(mismatched, damage_dir, name
         assert list(out.iterdir()) == []
 
 
+# the stages that read the embeddings or the attribute table, with the
+# files of the module's small chain each takes beside the damaged one
+TABLE_READERS = {
+    "teacher": ["teacher", "--teacher-epochs", "1"],
+    "maml": ["maml", "--order", "second", "--meta-iterations", "1", "--inner-steps", "1",
+             "--n-support", "5", "--n-query", "5", "--tasks-per-meta-batch", "1",
+             "--teacher", "teacher.tch1"],
+    "eval": ["eval", "--episodes", "1", "--inner-steps", "1", "--support-sizes", "5",
+             "--student", "student.fus1"],
+}
+TABLES = {"embeddings.emb1": "--embeddings", "attributes.csv": "--attributes"}
+
+
+def _table_stage(a, stage, tables):
+    """The argv of `stage` on the small chain in `a`, reading the files of
+    `tables` (name -> path) in place of the chain's own."""
+    _, *argv = TABLE_READERS[stage]
+    argv = [str(a / arg) if arg.endswith((".tch1", ".fus1")) else arg for arg in argv]
+    for name in ["attributes.csv"] if stage == "teacher" else TABLES:  # the teacher reads one
+        argv += [TABLES[name], str(tables.get(name, a / name))]
+    return [stage, *argv]
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(read=st.sampled_from([(name, stage) for name in TABLES for stage in TABLE_READERS
+                             if (name, stage) != ("embeddings.emb1", "teacher")]),
+       damage=st.sampled_from(["truncate", "flip", "append"]), data=st.data())
+def test_damaged_table_exits_cleanly_naming_it(mismatched, damage_dir, read, damage, data):
+    a = mismatched / "a"
+    name, stage = read
+    path, out = damage_dir / name, damage_dir / "out"
+    path.write_bytes(_damage((a / name).read_bytes(), name, damage, data.draw))
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a value whose exponent was flipped
+        code = main(_table_stage(a, stage, {name: path}) + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err.getvalue() and str(path) in err.getvalue(), err.getvalue()
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["teacher", "maml", "eval"])
+@pytest.mark.parametrize("value", ["1e39", "-2e45"])
+def test_attribute_not_finite_as_float32_exits_1_naming_its_row(mismatched, tmp_path, capsys,
+                                                                stage, value):
+    """Finite as float64, infinite in the float32 models that read the table."""
+    a = mismatched / "a"
+    lines = (a / "attributes.csv").read_text().splitlines()
+    fields = lines[4].split(",")
+    lines[4] = ",".join(fields[:-1] + [value])
+    attrs, out = tmp_path / "attributes.csv", tmp_path / "out"
+    attrs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(*_table_stage(a, stage, {"attributes.csv": attrs}), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"cftmal {stage}: error: {attrs}: row 5 ({fields[0]!r}): non-finite value as float32"
+            in err and "Traceback" not in err)
+    assert list(out.iterdir()) == []
+
+
+def test_maml_diverging_on_its_inputs_names_them(mismatched, tmp_path, capsys):
+    """Large but finite embedding values drive the inner SGD past float32."""
+    a = mismatched / "a"
+    corpus = data.load_embeddings(a / "embeddings.emb1")
+    vectors = corpus.vectors.copy()
+    vectors[:, 0] = 1e30
+    emb = tmp_path / "embeddings.emb1"
+    write_embeddings(emb, Corpus.from_columns(corpus.ids, [corpus.families[i] for i in corpus.labels],
+                                              vectors))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing inner steps
+        assert run(*_table_stage(a, "maml", {"embeddings.emb1": emb}), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"cftmal maml: error: {emb} and {a / 'attributes.csv'}: meta-iteration 0: "
+            "non-finite meta-gradient" in err and "Traceback" not in err)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("keep", [4, 0], ids=["short", "empty"])
 def test_ragged_samples_line_names_file_and_line(mismatched, tmp_path, capsys, keep):
     """Every samples line lists the first line's number of negatives, at least one."""
@@ -745,6 +828,13 @@ def _overflowing(layers):
     return layers
 
 
+def _diverging(layers):
+    """`layers` with one first-layer weight of 1e30: the logits are finite at
+    load, but one inner step on a support set makes the query logits overflow."""
+    layers[0].weights[0, 0] = 1e30
+    return layers
+
+
 # (stage, the checkpoint's flag and file, the edit of its layers, the other
 # inputs, the output the stage must not write, detail)
 BAD_CHECKPOINTS = {
@@ -768,6 +858,9 @@ BAD_CHECKPOINTS = {
     "student-overflow": (
         "eval", "student", "student.fus1", _overflowing, ["embeddings", "attributes"],
         "eval.csv", "non-finite logits on record "),
+    "student-diverging": (
+        "eval", "student", "student.fus1", _diverging, ["embeddings", "attributes"],
+        "eval.csv", "10-shot episode 0: non-finite query logits after 5 inner steps on "),
 }
 
 

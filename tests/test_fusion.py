@@ -104,7 +104,7 @@ def test_fusion_hvp_matches_fd_of_gradient(kind):
     labels = rng.integers(0, 3, 5)
     params = model.params.copy()
     vec = rng.standard_normal(params.size)
-    hv = model.hvp(attrs, embs, labels, vec)
+    hv = model.hvp(model.linearize(attrs, embs, labels), vec)
     h = 1e-6
     _, gu = model.bound_to(params + h * vec).loss_and_grads(attrs, embs, labels)
     _, gd = model.bound_to(params - h * vec).loss_and_grads(attrs, embs, labels)
@@ -241,7 +241,7 @@ def pass_dtypes(model, inputs, labels):
     logits = model.forward(*inputs)
     kd = (0.5 * logits, 0.5, 2.0)
     _, grads = model.loss_and_grads(*inputs, labels, kd=kd)
-    hv = model.hvp(*inputs, labels, np.ones_like(model.params), kd=kd)
+    hv = model.hvp(model.linearize(*inputs, labels, kd=kd), np.ones_like(model.params))
     opt = adamw_init(model.params)
     adamw_step(opt, model.params, grads)
     return {a.dtype for a in (logits, grads, hv, opt.m, opt.v, model.params)}
@@ -358,7 +358,7 @@ def test_hvp_is_bit_identical_to_the_frozen_twin_forward(kind, dtype, kd, rows):
     vec = np.random.default_rng(21).standard_normal(model.params.size).astype(dtype)
     teacher = (0.5 * model.forward(attrs, embs), 0.3, 2.0) if kd else None
     with np.errstate(invalid="ignore"):
-        got = model.hvp(attrs, embs, labels, vec, kd=teacher)
+        got = model.hvp(model.linearize(attrs, embs, labels, kd=teacher), vec)
         want = frozen_hvp(model, attrs, embs, labels, vec, kd=teacher)
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cftmal.data import Corpus, DescriptionRecord, SyntheticSpec, generate_synthetic
-from cftmal.fusion import FusionModel, batch_arrays, init_fusion, teacher_train
+from cftmal.distill import KdConfig, logits_loss
+from cftmal.fusion import FusionModel, Linearization, batch_arrays, init_fusion, teacher_train
 from cftmal.meta import (
     MamlConfig,
     build_pool,
@@ -12,9 +13,12 @@ from cftmal.meta import (
     meta_step,
     sample_episode,
     second_order_meta_gradient,
+    _kd_tuple,
+    _support_batch,
+    _support_passes,
     _task_meta_gradient,
 )
-from cftmal.numeric import param_views
+from cftmal.numeric import NonFiniteError, param_views
 
 
 def make_data(seed=0, n_families=3, per_family=40):
@@ -171,9 +175,9 @@ def test_inner_adapt_never_mutates_shared_init():
 
 
 def count_passes(monkeypatch):
-    """Count model forward passes: every loss_and_grads, hvp and query pass
-    goes through forward_cache, an inference pass through the cache-free
-    forward."""
+    """Count model forward passes: every loss_and_grads, linearize and
+    query pass goes through forward_cache, an inference pass through the
+    cache-free forward; hvp runs none of its own."""
     calls = []
     for name in ("forward_cache", "forward"):
         def counted(self, *args, real=getattr(FusionModel, name), **kwargs):
@@ -192,8 +196,89 @@ def test_task_does_one_query_pass(monkeypatch, order):
     ep = sample_episode(pool, cfg, seed=5)
     calls = count_passes(monkeypatch)
     _task_meta_gradient(model, ep, cfg, None, None)
-    hvps = cfg.inner_steps if order == "second" else 0  # each runs the gradient pass's forward
-    assert len(calls) == cfg.inner_steps + hvps + 1
+    assert len(calls) == cfg.inner_steps + 1  # an HVP reuses its step's gradient-pass forward
+
+
+# The second-order task as it stood when each HVP ran its own forward and
+# loss at its support point, kept op for op: the live task reuses the
+# gradient pass's and must match it bit for bit.
+
+
+def fresh_pass_task_meta_gradient(model, episode, cfg, teacher, kd_cfg):
+    s_attrs, s_embs, s_labels, kd_inner = _support_batch(episode.support, teacher, kd_cfg)
+    q_attrs, q_embs, q_labels = episode.query
+    kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
+    query = {}
+
+    def support_grad(params):
+        _, g = model.bound_to(params).loss_and_grads(s_attrs, s_embs, s_labels, kd=kd_inner)
+        return g
+
+    def support_hvp(params, vec):
+        bound = model.bound_to(params)
+        logits, cache = bound.forward_cache(s_attrs, s_embs)
+        loss, gl = logits_loss(logits, s_labels, kd_inner)
+        return bound.hvp(Linearization(loss, logits, cache, gl, kd_inner), vec)
+
+    def query_grad(params):
+        query["loss"], g, query["logits"] = model.bound_to(params).loss_grads_logits(
+            q_attrs, q_embs, q_labels, kd=kd_outer)
+        return g
+
+    meta_grad, _ = second_order_meta_gradient(
+        model.params, support_grad, support_hvp, query_grad, cfg.inner_steps, cfg.inner_lr)
+    q_acc = float(np.mean(query["logits"].argmax(axis=1) == q_labels))
+    return meta_grad, query["loss"], q_acc
+
+
+@pytest.mark.parametrize("apply_in", [None, "inner", "outer", "both"], ids=lambda a: a or "no-kd")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_second_order_task_is_bit_identical_to_fresh_support_passes(dtype, apply_in):
+    """FUS1 and its float64 twin, KD off and in each place it applies."""
+    corpus, attrs = make_data()
+    pool = build_pool(corpus, attrs)
+    model = init_fusion(4, corpus.dim, len(corpus.families), seed=2)
+    model = model.bound_to(model.params.astype(dtype))
+    teacher = kd_cfg = None
+    if apply_in is not None:
+        teacher, _ = teacher_train(attrs, epochs=2)
+        kd_cfg = KdConfig(alpha=0.3, apply_in=apply_in)
+    cfg = MamlConfig(order="second", inner_steps=3, inner_lr=0.05)
+    ep = sample_episode(pool, cfg, seed=5)
+    got = _task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
+    want = fresh_pass_task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
+    assert got[0].dtype == want[0].dtype == dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+def test_support_hvp_takes_only_the_last_support_point():
+    pool, n_classes, d = make_pool()
+    model = init_fusion(4, d, n_classes, seed=2)
+    ep = sample_episode(pool, MamlConfig(), seed=5)
+    support_grad, support_hvp = _support_passes(model, _support_batch(ep.support, None, None))
+    theta0 = model.params
+    theta1 = theta0 - 0.05 * support_grad(theta0)
+    support_grad(theta1)
+    vec = np.ones_like(theta0)
+    for wrong in (theta0, theta1.copy()):  # below the top, and equal but not the same array
+        with pytest.raises(RuntimeError, match="not the last support point linearized"):
+            support_hvp(wrong, vec)
+    support_hvp(theta1, vec)
+    support_hvp(theta0, vec)
+    with pytest.raises(RuntimeError, match="not the last support point linearized"):
+        support_hvp(theta0, vec)  # nothing is left
+
+
+def test_meta_step_refuses_a_non_finite_meta_gradient():
+    pool, n_classes, d = make_pool()
+    model = init_fusion(4, d, n_classes, seed=2)
+    model.params[0] = 1e30  # a first-layer weight: finite logits, an overflowing inner step
+    before = model.params.copy()
+    cfg = MamlConfig(inner_steps=1, inner_lr=0.05)
+    with pytest.raises(NonFiniteError, match="^non-finite meta-gradient$"), np.errstate(all="ignore"):
+        meta_step(model, [sample_episode(pool, cfg, seed=5)], cfg)
+    assert model.params.tobytes() == before.tobytes()
 
 
 def test_eval_episode_skips_final_support_pass(monkeypatch):
