@@ -189,14 +189,10 @@ class FusionModel:
         loss, gl = logits_loss(logits, labels, kd)
         return Linearization(loss, logits, cache, gl, kd)
 
-    def loss_grads_logits(self, attrs, embs, labels, kd=None):
-        """One forward/backward pass: (mean loss, gradients, logits)."""
-        lin = self.linearize(attrs, embs, labels, kd)
-        return lin.loss, self.backward(lin.cache, lin.grad_logits), lin.logits
-
     def loss_and_grads(self, attrs, embs, labels, kd=None):
-        loss, grads, _ = self.loss_grads_logits(attrs, embs, labels, kd)
-        return loss, grads
+        """One forward/backward pass: (mean loss, gradients)."""
+        lin = self.linearize(attrs, embs, labels, kd)
+        return lin.loss, self.backward(lin.cache, lin.grad_logits)
 
     def hvp(self, lin, vec):
         """Hessian-vector product of the mean loss w.r.t. the flat parameters:

@@ -126,8 +126,7 @@ def inner_adapt(model, support, inner_steps: int, inner_lr: float,
     """
     batch = _support_batch(support, teacher, kd_cfg)
     adapted, trace = _adapt(model, batch, inner_steps, inner_lr)
-    final_loss, _ = adapted.loss_and_grads(*support, kd=batch[-1])
-    return adapted, trace + [final_loss]
+    return adapted, trace + [adapted.linearize(*support, kd=batch[-1]).loss]
 
 
 def _kd_tuple(teacher, kd_cfg, attrs, where: str):
@@ -188,24 +187,24 @@ def _task_meta_gradient(model, episode: Episode, cfg: MamlConfig, teacher, kd_cf
     support = _support_batch(episode.support, teacher, kd_cfg)
     q_attrs, q_embs, q_labels = episode.query
     kd_outer = _kd_tuple(teacher, kd_cfg, q_attrs, where="outer")
+    query = []  # the query pass's (loss, logits) at the adapted parameters
+
+    def query_grad(params):
+        bound = model.bound_to(params)
+        lin = bound.linearize(q_attrs, q_embs, q_labels, kd=kd_outer)
+        query.append((lin.loss, lin.logits))  # not its caches, freed once backward has read them
+        return bound.backward(lin.cache, lin.grad_logits)
+
     if cfg.order == "second":
-        query = {}
-
-        def query_grad(params):
-            query["loss"], g, query["logits"] = model.bound_to(params).loss_grads_logits(
-                q_attrs, q_embs, q_labels, kd=kd_outer)
-            return g
-
         meta_grad, _ = second_order_meta_gradient(
             model.params, *_support_passes(model, support), query_grad,
             cfg.inner_steps, cfg.inner_lr,
         )
-        q_loss, logits = query["loss"], query["logits"]
     else:
         adapted, _ = _adapt(model, support, cfg.inner_steps, cfg.inner_lr)
-        q_loss, meta_grad, logits = adapted.loss_grads_logits(q_attrs, q_embs, q_labels, kd=kd_outer)
-    q_acc = float(np.mean(logits.argmax(axis=1) == q_labels))
-    return meta_grad, q_loss, q_acc
+        meta_grad = query_grad(adapted.params)
+    [(q_loss, logits)] = query
+    return meta_grad, q_loss, float(np.mean(logits.argmax(axis=1) == q_labels))
 
 
 def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
@@ -223,14 +222,15 @@ def meta_step(model, episodes, cfg: MamlConfig, opt_state=None,
         opt_state = adamw_init(model.params, lr=cfg.meta_lr)
     grads = None
     losses, accs = [], []
-    for ep in episodes:  # fixed task order keeps the reduction deterministic
-        g, q_loss, q_acc = _task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
-        if grads is None:
-            grads = g  # a new vector each task, so summed into in place
-        else:
-            grads += g
-        losses.append(q_loss)
-        accs.append(q_acc)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for ep in episodes:  # fixed task order keeps the reduction deterministic
+            g, q_loss, q_acc = _task_meta_gradient(model, ep, cfg, teacher, kd_cfg)
+            if grads is None:
+                grads = g  # a new vector each task, so summed into in place
+            else:
+                grads += g
+            losses.append(q_loss)
+            accs.append(q_acc)
     grads /= len(episodes)
     if not np.isfinite(grads).all():
         raise NonFiniteError("non-finite meta-gradient")
@@ -297,12 +297,12 @@ def evaluate_few_shot(model, pool, cfg: MamlConfig, n_episodes: int,
         accs = []
         for e in range(n_episodes):
             ep = sample_episode(pool, ep_cfg, seed=_derive_seed(cfg.seed, 0xEFA1, size, e))
-            adapted, _ = _adapt(
-                model, _support_batch(ep.support, teacher, kd_cfg),
-                cfg.inner_steps, cfg.inner_lr,
-            )
             attrs, embs, labels = ep.query
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                adapted, _ = _adapt(
+                    model, _support_batch(ep.support, teacher, kd_cfg),
+                    cfg.inner_steps, cfg.inner_lr,
+                )
                 logits = adapted.forward(attrs, embs)
             if not np.isfinite(logits).all():
                 raise NonFiniteError(f"{size}-shot episode {e}: non-finite query logits "

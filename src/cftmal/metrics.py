@@ -200,7 +200,7 @@ def _run_seed(methods, corpus: Corpus, attributes: Corpus, settings: AblationSet
         with _stage("mine"):
             positives = mining.select_positives(train_c)
     if set(methods) - {"attributes_only"}:
-        with _stage("maml"):
+        with _stage("teacher"):
             teacher, _ = teacher_train(
                 train_a, lr=settings.teacher_lr, epochs=settings.teacher_epochs, seed=seed,
             )

@@ -140,9 +140,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
-    grad = softmax(logits)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels]))
+    grad = np.divide(e, total, out=e)  # softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
 
@@ -296,22 +297,18 @@ def layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad: boo
     the input gradient and its tangent, None with input_grad False. `z`
     is the layer's output, as in layer_backward, and dx None is a zero
     input tangent. The relu mask is treated as locally constant (its
-    derivative is zero almost everywhere).
+    derivative is zero almost everywhere), so layer_backward of the
+    tangent upstream gives every term linear in it; the terms of the
+    value upstream against the tangents dx and dW are added here.
     """
-    if layer.activation == "relu":
-        mask = z > 0.0
-        dz = upstream * mask
-        ddz = dupstream * mask
-    else:
-        dz = upstream
-        ddz = dupstream
-    dgW = np.matmul(ddz.T, x, out=out[0])
+    dgW, dgb, dgx = layer_backward(layer, x, dupstream, z=z, input_grad=input_grad, out=out)
+    dz = upstream * (z > 0.0) if layer.activation == "relu" else upstream
     if dx is not None:
         dgW += dz.T @ dx
-    dgb = np.sum(ddz, axis=0, out=out[1])
     if not input_grad:
         return (dgW, dgb), None, None
-    return (dgW, dgb), dz @ layer.weights, ddz @ layer.weights + dz @ dW
+    dgx += dz @ dW
+    return (dgW, dgb), dz @ layer.weights, dgx
 
 
 def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:

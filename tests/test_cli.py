@@ -644,12 +644,9 @@ def test_maml_diverging_on_its_inputs_names_them(mismatched, tmp_path, capsys):
                                               vectors))
     out = tmp_path / "out"
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing inner steps
-        assert run(*_table_stage(a, "maml", {"embeddings.emb1": emb}), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert (f"cftmal maml: error: {emb} and {a / 'attributes.csv'}: meta-iteration 0: "
-            "non-finite meta-gradient" in err and "Traceback" not in err)
+    assert run(*_table_stage(a, "maml", {"embeddings.emb1": emb}), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"cftmal maml: error: {emb} and {a / 'attributes.csv'}: "
+                                       "meta-iteration 0: non-finite meta-gradient\n")
     assert list(out.iterdir()) == []
 
 

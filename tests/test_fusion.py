@@ -23,6 +23,9 @@ from cftmal.numeric import (
     _as_matrix,
     adamw_init,
     adamw_step,
+    chain_backward_jvp,
+    chain_forward,
+    chain_tangent,
     layer_backward_jvp,
     param_views,
 )
@@ -282,6 +285,90 @@ def test_forward_is_forward_cache_logits_bit_for_bit(kind, dtype):
     assert model.forward(x, inputs[1]).tobytes() == model.forward_cache(x, inputs[1])[0].tobytes()
 
 
+# The layer step of the backward's tangent as it stood when it repeated
+# `layer_backward`'s arithmetic on the tangent upstream, kept op for op:
+# `layer_backward_jvp`, `chain_backward_jvp` and `FusionModel.hvp` must
+# match it bit for bit.
+
+
+def frozen_layer_backward_jvp(layer, dW, x, dx, upstream, dupstream, z, input_grad=True,
+                              out=(None, None)):
+    if layer.activation == "relu":
+        mask = z > 0.0
+        dz = upstream * mask
+        ddz = dupstream * mask
+    else:
+        dz = upstream
+        ddz = dupstream
+    dgW = np.matmul(ddz.T, x, out=out[0])
+    if dx is not None:
+        dgW += dz.T @ dx
+    dgb = np.sum(ddz, axis=0, out=out[1])
+    if not input_grad:
+        return (dgW, dgb), None, None
+    return (dgW, dgb), dz @ layer.weights, ddz @ layer.weights + dz @ dW
+
+
+def _same_bytes(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        elif isinstance(w, tuple):
+            _same_bytes(g, w)
+        else:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+@pytest.mark.parametrize("input_grad", [True, False], ids=["gx", "no-gx"])
+@pytest.mark.parametrize("with_dx", [False, True], ids=["dx-none", "dx"])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_backward_jvp_is_bit_identical_to_the_frozen_step(dtype, activation, with_dx,
+                                                                input_grad, given_out):
+    rng = np.random.default_rng(31)
+    layer = DenseLayer(rng.standard_normal((6, 5)).astype(dtype),
+                       rng.standard_normal(6).astype(dtype), activation)
+    x, dx = (rng.standard_normal((7, 5)).astype(dtype) for _ in range(2))
+    x[0, :] = np.nan  # a NaN and a -0.0 pre-activation reach the relu mask
+    x[1, :] = -0.0
+    dW = rng.standard_normal(layer.weights.shape).astype(dtype)
+    upstream, dupstream = (rng.standard_normal((7, 6)).astype(dtype) for _ in range(2))
+    _, [(_, z)] = chain_forward([layer], x)
+    args = (layer, dW, x, dx if with_dx else None, upstream, dupstream, z, input_grad)
+
+    def out():
+        return ((np.empty_like(layer.weights), np.empty_like(layer.bias)) if given_out
+                else (None, None))
+
+    with np.errstate(invalid="ignore"):
+        _same_bytes(layer_backward_jvp(*args, out=out()),
+                    frozen_layer_backward_jvp(*args, out=out()))
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["gx", "no-gx"])
+@pytest.mark.parametrize("with_dx", [False, True], ids=["dx-none", "dx"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chain_backward_jvp_is_bit_identical_to_the_frozen_step(dtype, with_dx, input_grad):
+    """A relu layer over an identity one, then the reverse."""
+    rng = np.random.default_rng(32)
+    layers = [DenseLayer(rng.standard_normal((o, i)).astype(dtype),
+                         rng.standard_normal(o).astype(dtype), act)
+              for (o, i), act in zip([(6, 5), (4, 6), (3, 4)], ["relu", "identity", "relu"])]
+    x = rng.standard_normal((7, 5)).astype(dtype)
+    dx = rng.standard_normal((7, 5)).astype(dtype) if with_dx else None
+    dparams = rng.standard_normal(sum(l.weights.size + l.bias.size for l in layers)).astype(dtype)
+    upstream, dupstream = (rng.standard_normal((7, 3)).astype(dtype) for _ in range(2))
+    _, caches = chain_forward(layers, x)
+    _, dxs = chain_tangent(layers, caches, dparams, dx)
+    got = chain_backward_jvp(layers, dparams, caches, dxs, upstream, dupstream,
+                             input_grad=input_grad, out=np.empty_like(dparams))
+    frozen_caches = [(x_in, dx_in, z) for (x_in, z), dx_in in zip(caches, dxs)]
+    want = frozen_chain_backward_jvp(layers, dparams, frozen_caches, upstream, dupstream,
+                                     input_grad=input_grad, out=np.empty_like(dparams))
+    _same_bytes(got, want)
+
+
 # The Hessian-vector product as it stood when it ran its own tangent-carrying
 # forward, kept op for op: `FusionModel.hvp` must match it bit for bit.
 
@@ -316,8 +403,9 @@ def frozen_chain_backward_jvp(layers, dparams, caches, upstream, dupstream, inpu
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):
         x, dx, z = caches[i]
-        _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dx, g, dg, z,
-                                      input_grad=input_grad or i > 0, out=views[2 * i : 2 * i + 2])
+        _, g, dg = frozen_layer_backward_jvp(layers[i], dviews[2 * i], x, dx, g, dg, z,
+                                             input_grad=input_grad or i > 0,
+                                             out=views[2 * i : 2 * i + 2])
     return out, g, dg
 
 

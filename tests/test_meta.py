@@ -174,6 +174,25 @@ def test_inner_adapt_never_mutates_shared_init():
     )
 
 
+@pytest.mark.parametrize("kd", [False, True], ids=["ce", "kd"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inner_adapt_final_loss_is_the_full_pass_loss_bit_for_bit(dtype, kd):
+    """The trace's last loss, read off a forward alone, is the one a full
+    forward/backward pass at the adapted parameters reports."""
+    corpus, attrs = make_data()
+    pool = build_pool(corpus, attrs)
+    model = init_fusion(4, corpus.dim, len(corpus.families), seed=0)
+    model = model.bound_to(model.params.astype(dtype))
+    teacher = kd_cfg = None
+    if kd:
+        teacher, _ = teacher_train(attrs, epochs=2)
+        kd_cfg = KdConfig(alpha=0.3, apply_in="inner")
+    ep = sample_episode(pool, MamlConfig(), seed=1)
+    adapted, trace = inner_adapt(model, ep.support, 3, 0.05, teacher=teacher, kd_cfg=kd_cfg)
+    kd_inner = _kd_tuple(teacher, kd_cfg, ep.support.attrs, where="inner")
+    assert trace[-1] == adapted.loss_and_grads(*ep.support, kd=kd_inner)[0]
+
+
 def count_passes(monkeypatch):
     """Count model forward passes: every loss_and_grads, linearize and
     query pass goes through forward_cache, an inference pass through the
@@ -221,9 +240,10 @@ def fresh_pass_task_meta_gradient(model, episode, cfg, teacher, kd_cfg):
         return bound.hvp(Linearization(loss, logits, cache, gl, kd_inner), vec)
 
     def query_grad(params):
-        query["loss"], g, query["logits"] = model.bound_to(params).loss_grads_logits(
-            q_attrs, q_embs, q_labels, kd=kd_outer)
-        return g
+        bound = model.bound_to(params)
+        lin = bound.linearize(q_attrs, q_embs, q_labels, kd=kd_outer)
+        query["loss"], query["logits"] = lin.loss, lin.logits
+        return bound.backward(lin.cache, lin.grad_logits)
 
     meta_grad, _ = second_order_meta_gradient(
         model.params, support_grad, support_hvp, query_grad, cfg.inner_steps, cfg.inner_lr)

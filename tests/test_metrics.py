@@ -308,6 +308,16 @@ def test_draws_larger_than_the_hard_tier_fail_at_samples():
     assert exc.value.stage == "samples"
 
 
+def test_teacher_failure_names_the_teacher_stage():
+    corpus, attrs = tiny_data(2)
+    settings = tiny_settings()
+    settings.teacher_lr = 0.0
+    with pytest.raises(PipelineStageError, match="stage 'teacher' failed: teacher_lr must be > 0"
+                       ) as exc:
+        run_pipeline("pretrained_embeddings", corpus, attrs, settings, seed=0)
+    assert exc.value.stage == "teacher"
+
+
 def test_unfillable_train_pool_fails_at_split(calls):
     corpus, attrs = tiny_data(5)  # 80 records a family: 60 train, 20 meta-test
     settings = tiny_settings()
