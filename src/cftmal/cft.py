@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Corpus, write_csv
 from .fusion import FusionModel
-from .numeric import ShapeError, adamw_init, adamw_step, init_dense
+from .numeric import ShapeError, adamw_init, checked_adamw_step, softmax
 from .similarity import ZeroNormWarning, normalize_rows
 
 ADP1_MAGIC = b"ADP1"
@@ -38,10 +38,8 @@ class AdapterHead(FusionModel):
 
 
 def init_adapter(in_dim: int, hidden_dim: int, out_dim: int, seed: int) -> AdapterHead:
-    rng = np.random.default_rng([seed, 0x41445031])
-    hidden = init_dense(in_dim, hidden_dim, "relu", rng)
-    out = init_dense(hidden_dim, out_dim, "identity", rng)
-    return AdapterHead([hidden], [], out).in_param_dtype()
+    return AdapterHead.init(seed, [(in_dim, hidden_dim, "relu")], [],
+                            [(hidden_dim, out_dim, "identity")])
 
 
 @dataclass
@@ -92,10 +90,7 @@ def _info_nce(za, zp, zn, tau, in_batch):
     s_pos = np.einsum("bd,bd->b", a_hat, p_hat)
     s_neg = a_g @ n_g.transpose(0, 2, 1)  # (G, B/G, B*k/G) cosines; zero rows give 0
     s = np.concatenate([s_pos[:, None], s_neg.reshape(bsz, -1)], axis=1)
-    logits = s / tau
-    logits -= logits.max(axis=1, keepdims=True)  # stabilization (mandatory at tau=0.07)
-    e = np.exp(logits)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax(s / tau)
     loss = float(np.mean(-np.log(p[:, 0])))
     # d(loss_i)/ds_ij, zeroed on zero-norm anchors, positives and negatives
     w = p
@@ -140,6 +135,9 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
     (`mining.sample_table`).
 
     Returns (head, trace) where trace is a list of (batch_index, mean_loss).
+    Raises NonFiniteError naming the epoch and batch at the first batch
+    whose loss or gradient is not finite, before its update, or whose
+    update leaves the parameters so.
     """
     cfg.validate()
     if not len(samples):
@@ -156,19 +154,21 @@ def train_adapter(samples, corpus: Corpus, cfg: CftConfig):
     batch_index = 0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 0xC47, epoch]).permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
             batch = samples[order[start : start + cfg.batch_size]]
             bsz = len(batch)
             # the batch's anchors, then its positives, then its negatives
             flat = table[np.concatenate([batch.anchor, batch.positive, batch.negatives.ravel()])]
-            out, cache = head.forward_cache(flat)
-            za = out[:bsz]
-            zp = out[bsz : 2 * bsz]
-            zn = out[2 * bsz :].reshape(bsz, k, -1)
-            loss, ga, gp, gn = _info_nce(za, zp, zn, cfg.temperature,
-                                         in_batch=cfg.denominator_mode == "in_batch")
-            upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
-            adamw_step(opt, head.params, head.backward(cache, upstream))
+            with np.errstate(all="ignore"):  # checked before the step
+                out, cache = head.forward_cache(flat)
+                za = out[:bsz]
+                zp = out[bsz : 2 * bsz]
+                zn = out[2 * bsz :].reshape(bsz, k, -1)
+                loss, ga, gp, gn = _info_nce(za, zp, zn, cfg.temperature,
+                                             in_batch=cfg.denominator_mode == "in_batch")
+                upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
+                grads = head.backward(cache, upstream)
+            checked_adamw_step(opt, head.params, loss, grads, f"epoch {epoch}, batch {b}")
             trace.append((batch_index, loss))
             batch_index += 1
     return head, trace

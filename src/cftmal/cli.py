@@ -111,6 +111,13 @@ def _mismatch(path, other, detail) -> ValueError:
     return ValueError(f"{path} does not fit {other}: {detail}")
 
 
+def _diverged(exc, inputs, settings) -> ValueError:
+    """Training that reached non-finite values, which its inputs or its
+    settings (flag -> value) can cause: both named."""
+    at = ", ".join(f"--{flag} {value:g}" for flag, value in settings.items())
+    return ValueError(f"{' and '.join(map(str, inputs))}: {exc} at {at}")
+
+
 # --- stage implementations --------------------------------------------------
 
 
@@ -176,7 +183,11 @@ def _cmd_train_cft(v, ccfg, adapter_path, trace_path):
     except mining.MissingRecord as exc:
         raise _mismatch(samples_path, emb_path,
                         f"sample {exc.sample}: no record {exc.record!r}") from exc
-    head, trace = cft.train_adapter(samples, corpus, ccfg)
+    try:
+        head, trace = cft.train_adapter(samples, corpus, ccfg)
+    except NonFiniteError as exc:
+        raise _diverged(exc, (emb_path, samples_path),
+                        {"tau": ccfg.temperature, "lr": ccfg.learning_rate}) from exc
     head.save(adapter_path)
     cft.loss_trace_to_csv(trace_path, trace)
     return (f"{len(samples)} samples, {len(trace)} batches, "
@@ -211,8 +222,11 @@ def _model_attributes(path):
 
 def _cmd_teacher(v, path):
     attrs = _model_attributes(v["attributes"])
-    teacher, trace = teacher_train(attrs, lr=v["teacher_lr"],
-                                   epochs=v["teacher_epochs"], seed=v["seed"])
+    try:
+        teacher, trace = teacher_train(attrs, lr=v["teacher_lr"],
+                                       epochs=v["teacher_epochs"], seed=v["seed"])
+    except NonFiniteError as exc:
+        raise _diverged(exc, (v["attributes"],), {"teacher-lr": v["teacher_lr"]}) from exc
     teacher.save(path)
     return (f"{len(attrs)} rows, {len(attrs.families)} classes, "
             f"final train accuracy {trace[-1]:.3f} -> {path}")
@@ -261,8 +275,9 @@ def _cmd_maml(v, mamlcfg, kd, path, hist_path):
     student = init_fusion(pool.attrs.shape[1], corpus.dim, len(corpus.families), mamlcfg.seed)
     try:
         student, history = maml_train(student, pool, mamlcfg, teacher=teacher, kd_cfg=kd)
-    except NonFiniteError as exc:  # inputs that drive a fresh student past float32
-        raise ValueError(f"{v['embeddings']} and {v['attributes']}: {exc}") from exc
+    except NonFiniteError as exc:
+        raise _diverged(exc, (v["embeddings"], v["attributes"]),
+                        {"inner-lr": mamlcfg.inner_lr, "meta-lr": mamlcfg.meta_lr}) from exc
     student.save(path)
     data.write_csv(hist_path, ["iteration", "query_loss", "query_accuracy"],
                    ([h["iteration"], repr(h["query_loss"]), repr(h["query_accuracy"])]

@@ -11,10 +11,11 @@ and a classifier alone as its head. The contrastive adapter (ADP1,
 layer as its head. Every pass loops over the branches, so all three share
 one forward, backward, checkpoint and parameter binding.
 
-The models the pipeline builds (`init_fusion`, `init_teacher`,
-`cft.init_adapter`) and every `load` hold their parameters in
-`PARAM_DTYPE`, float32, so their passes compute in float32; the weights
-are drawn in float64 and cast, and the float32 checkpoints load exactly.
+The models the pipeline builds (`FusionModel.init`, which `init_fusion`,
+`init_teacher` and `cft.init_adapter` call) and every `load` hold their
+parameters in `PARAM_DTYPE`, float32, so their passes compute in float32;
+the weights are drawn in float64 and cast, and the float32 checkpoints
+load exactly.
 A float64 twin, `model.bound_to(model.params.astype(np.float64))`,
 computes in float64.
 
@@ -35,9 +36,9 @@ import numpy as np
 
 from .distill import logits_loss, logits_loss_jvp
 from .numeric import (
+    NonFiniteError,
     ShapeError,
     adamw_init,
-    adamw_step,
     bind_params,
     chain_backward,
     chain_backward_jvp,
@@ -45,6 +46,7 @@ from .numeric import (
     chain_output,
     chain_params,
     chain_tangent,
+    checked_adamw_step,
     init_dense,
     n_params,
     rebind_params,
@@ -214,6 +216,16 @@ class FusionModel:
             chain_backward_jvp(branch, dp, c, dxs, g, dg, input_grad=False, out=out)
         return dgrads
 
+    @classmethod
+    def init(cls, seed: int, attr, emb, head) -> "FusionModel":
+        """A new model of this layout: each chain is a list of (in, out,
+        activation), drawn Glorot-uniform (`init_dense`) in `layers` order
+        from an rng salted by `MAGIC`, and held in `PARAM_DTYPE`."""
+        rng = np.random.default_rng([seed, int.from_bytes(cls.MAGIC, "big")])
+        attr, emb, head = ([init_dense(i, o, act, rng) for i, o, act in chain]
+                           for chain in (attr, emb, head))
+        return cls(attr, emb, *head).in_param_dtype()
+
     def save(self, path) -> None:
         write_layers(path, self.MAGIC, self.layers)
 
@@ -244,26 +256,20 @@ ATTR_HIDDEN = 256  # attribute branch hidden width
 BRANCH_WIDTH = 128
 
 
+def _attr_branch(attr_dim: int) -> list:
+    """The attribute branch of the student and the teacher: m -> h_a relu -> 128 relu."""
+    return [(attr_dim, ATTR_HIDDEN, "relu"), (ATTR_HIDDEN, BRANCH_WIDTH, "relu")]
+
+
 def init_fusion(attr_dim: int, emb_dim: int, n_classes: int, seed: int) -> FusionModel:
-    rng = np.random.default_rng([seed, 0x46555331])
-    attr_branch = [
-        init_dense(attr_dim, ATTR_HIDDEN, "relu", rng),
-        init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
-    ]
-    emb_branch = [init_dense(emb_dim, BRANCH_WIDTH, "identity", rng)]
-    fusion = init_dense(2 * BRANCH_WIDTH, 2 * BRANCH_WIDTH, "relu", rng)
-    classifier = init_dense(2 * BRANCH_WIDTH, n_classes, "identity", rng)
-    return FusionModel(attr_branch, emb_branch, fusion, classifier).in_param_dtype()
+    return FusionModel.init(seed, _attr_branch(attr_dim), [(emb_dim, BRANCH_WIDTH, "identity")],
+                            [(2 * BRANCH_WIDTH, 2 * BRANCH_WIDTH, "relu"),
+                             (2 * BRANCH_WIDTH, n_classes, "identity")])
 
 
 def init_teacher(attr_dim: int, n_classes: int, seed: int) -> TeacherModel:
-    rng = np.random.default_rng([seed, 0x54434831])
-    attr_branch = [
-        init_dense(attr_dim, ATTR_HIDDEN, "relu", rng),
-        init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
-    ]
-    classifier = init_dense(BRANCH_WIDTH, n_classes, "identity", rng)
-    return TeacherModel(attr_branch, [], classifier).in_param_dtype()
+    return TeacherModel.init(seed, _attr_branch(attr_dim), [],
+                             [(BRANCH_WIDTH, n_classes, "identity")])
 
 
 TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01
@@ -272,7 +278,9 @@ TEACHER_BATCH_SIZE, TEACHER_WEIGHT_DECAY = 64, 0.01
 def teacher_train(attributes: Corpus, lr: float = 1e-3, epochs: int = 40, seed: int = 0):
     """AdamW training of the teacher on an attribute table alone, one class
     per entry of its `families`. Returns (teacher, accuracy trace per
-    epoch).
+    epoch). Raises NonFiniteError naming the epoch and batch at the first
+    batch whose loss or gradient is not finite, before its update, or
+    whose update leaves the parameters or the training-row logits so.
     """
     if not len(attributes):
         raise ValueError("no attribute rows to train on")
@@ -288,10 +296,15 @@ def teacher_train(attributes: Corpus, lr: float = 1e-3, epochs: int = 40, seed: 
     n = len(attributes)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 0x7EA, epoch]).permutation(n)
-        for start in range(0, n, TEACHER_BATCH_SIZE):
+        for b, start in enumerate(range(0, n, TEACHER_BATCH_SIZE)):
             ix = order[start : start + TEACHER_BATCH_SIZE]
-            _, grads = teacher.loss_and_grads(attrs[ix], None, labels[ix])
-            adamw_step(opt, teacher.params, grads)
-        preds = teacher.forward(attrs).argmax(axis=1)
-        trace.append(float(np.mean(preds == labels)))
+            with np.errstate(all="ignore"):  # checked before the step
+                loss, grads = teacher.loss_and_grads(attrs[ix], None, labels[ix])
+            checked_adamw_step(opt, teacher.params, loss, grads, f"epoch {epoch}, batch {b}")
+        with np.errstate(all="ignore"):  # checked below
+            logits = teacher.forward(attrs)
+        if not np.isfinite(logits).all():
+            raise NonFiniteError(f"epoch {epoch}, batch {b}: non-finite logits on the training "
+                                 "rows after the update")
+        trace.append(float(np.mean(logits.argmax(axis=1) == labels)))
     return teacher, trace

@@ -1,18 +1,20 @@
 """Minimal dense numerical substrate: layers, losses, AdamW.
 
 Everything operates on plain numpy arrays of float32 or float64. Each
-layer computes in its own weights' dtype: its input is cast to it, and the
-gradient buffers of a layer stack are allocated in it. The losses and AdamW
-follow the dtype of the arrays they are given. `DenseLayer` keeps float32 or
-float64 weights as given (any other dtype becomes float64), and `init_dense`
-draws float64, so a hand-built stack computes in float64. Gradients are
-written out explicitly per operation so each one can be checked against
-central finite differences in isolation. A model keeps its parameters in one
-flat vector laid out [W0, b0, W1, b1, ...], a layout only `param_views` knows.
+layer computes in its own weights' dtype: its input is cast to it, and a
+layer stack's gradients go into a flat buffer that its caller owns. The
+losses and AdamW follow the dtype of the arrays they are given.
+`DenseLayer` keeps float32 or float64 weights as given (any other dtype
+becomes float64), and `init_dense` draws float64, so a hand-built stack
+computes in float64. Gradients are written out explicitly per operation
+so each one can be checked against central finite differences in
+isolation. A model keeps its parameters in one flat vector laid out
+[W0, b0, W1, b1, ...], a layout only `param_views` knows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +127,7 @@ def layer_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, z: np
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax in the logits' dtype, shifted by each row's max."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -192,6 +195,20 @@ def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None
     params -= m_hat
 
 
+def checked_adamw_step(state: AdamWState, params: np.ndarray, loss: float, grads: np.ndarray,
+                       step: str) -> None:
+    """`adamw_step` on a finite loss and gradient, to finite parameters.
+    Otherwise raises NonFiniteError naming `step`; a loss or gradient that
+    is not finite raises before the update, so the parameters stay as they
+    were."""
+    if not (math.isfinite(loss) and np.isfinite(grads).all()):
+        raise NonFiniteError(f"{step}: non-finite loss or gradient")
+    with np.errstate(all="ignore"):  # checked below
+        adamw_step(state, params, grads)
+    if not np.isfinite(params).all():
+        raise NonFiniteError(f"{step}: non-finite parameters after the update")
+
+
 def chain_forward(layers, x):
     """Run a layer stack, returning (output, caches) for chain_backward:
     per layer its input as it read it and its output, the mask source of
@@ -221,11 +238,6 @@ def n_params(layers) -> int:
     return sum(a.size for a in chain_params(layers))
 
 
-def _grad_buffer(layers) -> np.ndarray:
-    """An uninitialised flat vector for a layer stack's gradients, in its parameters' dtype."""
-    return np.empty(n_params(layers), dtype=np.result_type(*chain_params(layers)))
-
-
 def param_views(layers, flat):
     """[W0, b0, W1, b1, ...] as views of one flat vector laid out in that
     order: the one place that knows a model's parameter layout."""
@@ -251,18 +263,17 @@ def rebind_params(layers, flat) -> np.ndarray:
     return flat
 
 
-def chain_backward(layers, caches, upstream, input_grad: bool = True, out=None):
-    """Gradients of a layer stack: (flat [gW0, gb0, gW1, gb1, ...] vector,
-    written into `out` if given, grad_input). With input_grad False the
-    first layer's input gradient is skipped and grad_input is None."""
-    grads = _grad_buffer(layers) if out is None else out
-    views = param_views(layers, grads)
+def chain_backward(layers, caches, upstream, out, input_grad: bool = True):
+    """Gradients of a layer stack: (`out`, the flat vector into which they
+    are written as [gW0, gb0, gW1, gb1, ...], grad_input). With input_grad
+    False the first layer's input gradient is skipped and grad_input is None."""
+    views = param_views(layers, out)
     g = upstream
     for i in range(len(layers) - 1, -1, -1):
         x, z = caches[i]
         _, _, g = layer_backward(layers[i], x, g, z=z, input_grad=input_grad or i > 0,
                                  out=views[2 * i : 2 * i + 2])
-    return grads, g
+    return out, g
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +328,22 @@ def softmax_jvp(p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return p * (dz - inner)
 
 
-def chain_backward_jvp(layers, dparams, caches, dxs, upstream, dupstream, input_grad: bool = True,
-                       out=None):
+def chain_backward_jvp(layers, dparams, caches, dxs, upstream, dupstream, out,
+                       input_grad: bool = True):
     """Tangents of chain_backward's gradients, from chain_forward's caches
     and chain_tangent's input tangents `dxs`.
 
-    Returns (flat grad tangent vector, written into `out` if given,
-    grad_input, grad_input tangent). The value gradients are not
+    Returns (`out`, the flat vector into which the grad tangents are
+    written, grad_input, grad_input tangent). The value gradients are not
     computed: a Hessian-vector product needs only their tangents. With
     input_grad False the first layer's input gradient and its tangent are
     skipped and come back as None.
     """
     dviews = param_views(layers, dparams)
-    dgrads = _grad_buffer(layers) if out is None else out
-    views = param_views(layers, dgrads)
+    views = param_views(layers, out)
     g, dg = upstream, dupstream
     for i in range(len(layers) - 1, -1, -1):
         x, z = caches[i]
         _, g, dg = layer_backward_jvp(layers[i], dviews[2 * i], x, dxs[i], g, dg, z,
                                       input_grad=input_grad or i > 0, out=views[2 * i : 2 * i + 2])
-    return dgrads, g, dg
+    return out, g, dg

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cftmal import cft
 from cftmal.cft import (
     ADP1_MAGIC,
     AdapterHead,
@@ -17,6 +18,7 @@ from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.fusion import PARAM_DTYPE
 from cftmal.mining import MiningConfig, build_all_samples, mine_all, select_positives
 from cftmal.numeric import (
+    NonFiniteError,
     ShapeError,
     adamw_init,
     adamw_step,
@@ -256,6 +258,38 @@ def test_info_nce_in_sample_matches_the_frozen_kernel(bsz, k, d, zero_rows):
                 assert_close_rel(g, w)
 
 
+def frozen_info_nce_softmax(s, tau):
+    """`_info_nce`'s four softmax lines as they stood before it called
+    `numeric.softmax`, kept verbatim."""
+    logits = s / tau
+    logits -= logits.max(axis=1, keepdims=True)  # stabilization (mandatory at tau=0.07)
+    e = np.exp(logits)
+    p = e / e.sum(axis=1, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("zero_rows", [False, True], ids=["dense", "zero-rows"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_batch", [False, True], ids=["in-sample", "in-batch"])
+def test_info_nce_softmax_is_bit_identical_to_its_frozen_lines(monkeypatch, in_batch, dtype,
+                                                                zero_rows):
+    za, zp, zn = (z.astype(dtype) for z in in_batch_inputs(8, 3, 16, seed=5, zero_rows=zero_rows))
+    s = np.random.default_rng(6).uniform(-1.0, 1.0, (8, 25)).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        for tau in (0.07, 1.0):
+            want_p = frozen_info_nce_softmax(s, tau)
+            assert cft.softmax(s / tau).tobytes() == want_p.tobytes() and want_p.dtype == dtype
+            got = _info_nce(za, zp, zn, tau, in_batch=in_batch)
+            with monkeypatch.context() as m:
+                # the frozen lines take s / tau, divided already: x / 1.0 is exact
+                m.setattr(cft, "softmax", lambda logits: frozen_info_nce_softmax(logits, 1.0))
+                want = _info_nce(za, zp, zn, tau, in_batch=in_batch)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+
+
 def assert_kernel_gradients_match_fd(in_batch):
     za, zp, zn = in_batch_inputs(3, 2, 4, seed=1)
     tau, h = 0.07, 1e-6
@@ -359,7 +393,8 @@ def reference_train_adapter(samples, corpus, cfg):
             loss, ga, gp, gn = _info_nce(za, zp, zn, cfg.temperature,
                                          in_batch=cfg.denominator_mode == "in_batch")
             upstream = np.concatenate([ga, gp, gn.reshape(bsz * k, -1)])
-            grads, _ = chain_backward(layers, caches, upstream, input_grad=False)
+            grads, _ = chain_backward(layers, caches, upstream, out=np.empty_like(params),
+                                      input_grad=False)
             adamw_step(opt, params, grads)
             trace.append((len(trace), loss))
     return params, trace
@@ -375,6 +410,17 @@ def test_train_adapter_matches_the_direct_chain_loop(mode):
     assert len(samples) % cfg.batch_size  # a short last batch is covered too
     assert head.params.tobytes() == params.tobytes()
     assert trace == want
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("temperature", 1e-30, "epoch 0, batch 4: non-finite loss or gradient"),
+    ("learning_rate", 1e3, "epoch 2, batch 5: non-finite loss or gradient"),
+], ids=["tau", "lr"])
+def test_train_adapter_stops_at_the_batch_that_diverged(field, value, error):
+    corpus, samples = tiny_setup()
+    cfg = CftConfig(epochs=3, hidden_dim=64, output_dim=32, **{field: value})
+    with pytest.raises(NonFiniteError, match=f"^{error}$"):
+        train_adapter(samples, corpus, cfg)
 
 
 def test_train_adapter_validation():

@@ -646,7 +646,49 @@ def test_maml_diverging_on_its_inputs_names_them(mismatched, tmp_path, capsys):
     capsys.readouterr()
     assert run(*_table_stage(a, "maml", {"embeddings.emb1": emb}), "--out", str(out)) == 1
     assert capsys.readouterr().err == (f"cftmal maml: error: {emb} and {a / 'attributes.csv'}: "
-                                       "meta-iteration 0: non-finite meta-gradient\n")
+                                       "meta-iteration 0: non-finite meta-gradient "
+                                       "at --inner-lr 0.01, --meta-lr 0.001\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def default_chain(tmp_path_factory):
+    """synth --families 3 --records 40, then mine and samples at their defaults."""
+    out = tmp_path_factory.mktemp("chain")
+    emb = str(out / "embeddings.emb1")
+    for argv in (["synth", "--families", "3", "--records", "40"],
+                 ["mine", "--embeddings", emb],
+                 ["samples", "--embeddings", emb, "--negatives", str(out / "negatives.jsonl")]):
+        assert run(*argv, "--out", str(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["train-cft", "--tau", "1e-30"],
+     "epoch 0, batch 0: non-finite loss or gradient at --tau 1e-30, --lr 1e-05"),
+    (["train-cft", "--lr", "1e3", "--epochs", "3"],
+     "epoch 1, batch 2: non-finite loss or gradient at --tau 0.07, --lr 1000"),
+    (["teacher", "--teacher-lr", "1e6", "--teacher-epochs", "3"],
+     "epoch 1, batch 1: non-finite loss or gradient at --teacher-lr 1e+06"),
+    (["maml", "--meta-lr", "1e6", "--meta-iterations", "2"],
+     "meta-iteration 1: non-finite meta-gradient at --inner-lr 0.01, --meta-lr 1e+06"),
+    (["maml", "--inner-lr", "1e6", "--meta-iterations", "1"],
+     "meta-iteration 0: non-finite meta-gradient at --inner-lr 1e+06, --meta-lr 0.001"),
+], ids=["tau", "lr", "teacher-lr", "meta-lr", "inner-lr"])
+def test_diverging_training_names_its_step_settings_and_inputs(default_chain, tmp_path, capsys,
+                                                               argv, error):
+    """One error line naming the inputs, the step that diverged and the
+    settings that drove it there; nothing written."""
+    stage, *options = argv
+    inputs = {"train-cft": ["embeddings.emb1", "samples.jsonl"], "teacher": ["attributes.csv"],
+              "maml": ["embeddings.emb1", "attributes.csv"]}[stage]
+    flags = [a for name in inputs
+             for a in ({**TABLES, "samples.jsonl": "--samples"}[name], str(default_chain / name))]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(stage, *flags, *options, "--out", str(out)) == 1
+    named = " and ".join(str(default_chain / name) for name in inputs)
+    assert capsys.readouterr().err == f"cftmal {stage}: error: {named}: {error}\n"
     assert list(out.iterdir()) == []
 
 
@@ -762,28 +804,28 @@ def test_zero_loop_count_exits_1_before_writing(mismatched, tmp_path, capsys,
 
 @pytest.mark.parametrize("case", ["train-cft-lr-1e200", "ingest-1e39"])
 def test_values_past_float32_exit_1_keeping_the_old_file(mismatched, tmp_path, capsys, case):
-    """A value the float32 writers cannot store fails the stage and leaves the
-    earlier artifact whole, where the reader would have rejected the new one."""
+    """A value past float32 fails the stage and leaves the earlier artifact
+    whole, where the reader would have rejected the new one: the writer
+    refuses it, or training stops at the update that reached it."""
     a = mismatched / "a"
     if case == "train-cft-lr-1e200":
         argv = ["train-cft", "--embeddings", str(a / "embeddings.emb1"),
                 "--samples", str(a / "samples.jsonl"), "--lr", "1e200",
                 "--hidden-dim", "8", "--output-dim", "8"]
-        output, detail = "adapter.adp1", ": non-finite weight or bias as float32"
+        output = "adapter.adp1"
+        error = (f"{a / 'embeddings.emb1'} and {a / 'samples.jsonl'}: epoch 0, batch 0: "
+                 "non-finite parameters after the update at --tau 0.07, --lr 1e+200")
     else:
         csv_path = tmp_path / "big.csv"
         csv_path.write_text("id,family,x0,x1\nr0,f0,1.0,2.0\nr1,f1,1e39,0.5\n")
         argv = ["ingest", "--embeddings", str(csv_path)]
-        output, detail = "embeddings.emb1", ": record 1 ('r1'): non-finite value as float32"
+        output = "embeddings.emb1"
+        error = f"{tmp_path / output}: record 1 ('r1'): non-finite value as float32"
     path = tmp_path / output
     path.write_bytes(b"earlier run")
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing AdamW steps
-        assert run(*argv, "--out", str(tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert f"cftmal {argv[0]}: error: {path}" in err and detail in err
-    assert "Traceback" not in err
+    assert run(*argv, "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"cftmal {argv[0]}: error: {error}\n"
     assert path.read_bytes() == b"earlier run"
     assert not (tmp_path / f"{output}.part").exists()
 

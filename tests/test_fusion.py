@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cftmal.cft import init_adapter
+from cftmal.cft import AdapterHead, init_adapter
 from cftmal.data import Corpus, DescriptionRecord, FormatError
 from cftmal.distill import logits_loss, logits_loss_jvp
 from cftmal.fusion import (
+    ATTR_HIDDEN,
+    BRANCH_WIDTH,
     PARAM_DTYPE,
     FusionModel,
     TeacherModel,
@@ -19,6 +21,7 @@ from cftmal.fusion import (
 from cftmal.meta import build_pool
 from cftmal.numeric import (
     DenseLayer,
+    NonFiniteError,
     ShapeError,
     _as_matrix,
     adamw_init,
@@ -26,6 +29,7 @@ from cftmal.numeric import (
     chain_backward_jvp,
     chain_forward,
     chain_tangent,
+    init_dense,
     layer_backward_jvp,
     param_views,
 )
@@ -176,6 +180,13 @@ def test_teacher_train_learns_separable_data():
     assert trace[-1] >= trace[0]
 
 
+def test_teacher_train_stops_at_the_batch_that_diverged():
+    rows = [DescriptionRecord(f"r{i}", f"c{i % 3}", np.full(6, i % 3 + 1.0)) for i in range(150)]
+    with pytest.raises(NonFiniteError, match="^epoch 0, batch 2: non-finite logits on the "
+                                             "training rows after the update$"):
+        teacher_train(Corpus(rows, 6, families=["c0", "c1", "c2"]), lr=1e6, epochs=3)
+
+
 def test_teacher_train_rejects_row_outside_families():
     rows = [DescriptionRecord("a", "c0", np.ones(4)), DescriptionRecord("b", "c7", np.ones(4))]
     with pytest.raises(FormatError, match="'b'.*'c7'"):
@@ -237,6 +248,54 @@ def pipeline_model(kind):
         "adapter": (init_adapter(4, 8, 3, seed=0), 4, None),
     }[kind]
     return model, (rng.standard_normal((5, width)), embs), rng.integers(0, 3, 5)
+
+
+# The three initialisers as they stood when each seeded its own rng with a
+# hex salt and drew its layers by hand, kept line for line: `FusionModel.init`
+# must draw the same parameters bit for bit.
+
+
+def frozen_init_fusion(attr_dim, emb_dim, n_classes, seed):
+    rng = np.random.default_rng([seed, 0x46555331])
+    attr_branch = [
+        init_dense(attr_dim, ATTR_HIDDEN, "relu", rng),
+        init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
+    ]
+    emb_branch = [init_dense(emb_dim, BRANCH_WIDTH, "identity", rng)]
+    fusion = init_dense(2 * BRANCH_WIDTH, 2 * BRANCH_WIDTH, "relu", rng)
+    classifier = init_dense(2 * BRANCH_WIDTH, n_classes, "identity", rng)
+    return FusionModel(attr_branch, emb_branch, fusion, classifier).in_param_dtype()
+
+
+def frozen_init_teacher(attr_dim, n_classes, seed):
+    rng = np.random.default_rng([seed, 0x54434831])
+    attr_branch = [
+        init_dense(attr_dim, ATTR_HIDDEN, "relu", rng),
+        init_dense(ATTR_HIDDEN, BRANCH_WIDTH, "relu", rng),
+    ]
+    classifier = init_dense(BRANCH_WIDTH, n_classes, "identity", rng)
+    return TeacherModel(attr_branch, [], classifier).in_param_dtype()
+
+
+def frozen_init_adapter(in_dim, hidden_dim, out_dim, seed):
+    rng = np.random.default_rng([seed, 0x41445031])
+    hidden = init_dense(in_dim, hidden_dim, "relu", rng)
+    out = init_dense(hidden_dim, out_dim, "identity", rng)
+    return AdapterHead([hidden], [], out).in_param_dtype()
+
+
+@pytest.mark.parametrize("widths", [(1, 1, 2), (6, 4, 3), (32, 64, 10), (64, 512, 64)])
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
+def test_init_draws_the_frozen_initialisers_bytes(seed, widths):
+    a, b, c = widths
+    for got, want in [(init_fusion(a, b, c, seed), frozen_init_fusion(a, b, c, seed)),
+                      (init_teacher(a, c, seed), frozen_init_teacher(a, c, seed)),
+                      (init_adapter(a, b, c, seed), frozen_init_adapter(a, b, c, seed))]:
+        assert type(got) is type(want)
+        assert ([(l.weights.shape, l.activation) for l in got.layers]
+                == [(l.weights.shape, l.activation) for l in want.layers])
+        assert got.params.dtype == want.params.dtype == PARAM_DTYPE
+        assert got.params.tobytes() == want.params.tobytes()
 
 
 def pass_dtypes(model, inputs, labels):

@@ -208,13 +208,13 @@ def _exp_callers(tree):
     return callers
 
 
-def test_exp_is_called_in_numeric_and_one_cft_function_only():
-    """`numeric` holds the softmax kernels and `cft._info_nce` the one InfoNCE
-    kernel for both denominators, so a second contrastive softmax cannot grow
-    back beside it."""
+def test_exp_is_called_in_numeric_only():
+    """`numeric` holds the softmax kernels, `softmax` and
+    `softmax_cross_entropy`; the KD loss and `cft._info_nce` call `softmax`,
+    so a second softmax cannot grow back beside them."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "numeric":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             callers.update(f"{path.stem}.{name}" for name in _exp_callers(tree))
-    assert callers == {"cft._info_nce"}
+    assert callers == set()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cftmal import metrics, mining
+from cftmal import meta, metrics, mining
 from cftmal.data import Corpus, DescriptionRecord, SyntheticSpec, generate_synthetic
 from cftmal.metrics import (
     METHODS,
@@ -284,6 +284,33 @@ def test_run_pipeline_smoke_all_methods():
             assert "refined_gap" in out
 
 
+def test_methods_share_their_eval_episodes(monkeypatch):
+    """Every method of one seed is scored on the same support and query rows
+    of the meta-test pool, so per-seed differences between methods are paired."""
+    draws = []  # per `evaluate_few_shot` call: the rows, attributes and labels of each draw
+
+    def evaluating(*args, **kwargs):
+        draws.append([])
+        with monkeypatch.context() as m:
+            m.setattr(meta.Batch, "take", recording_take)
+            return evaluate_few_shot(*args, **kwargs)
+
+    def recording_take(batch, rows):
+        draws[-1].append((rows, batch.attrs[rows], batch.labels[rows]))
+        return take(batch, rows)
+
+    take, evaluate_few_shot = meta.Batch.take, metrics.evaluate_few_shot
+    monkeypatch.setattr(metrics, "evaluate_few_shot", evaluating)
+    settings = tiny_settings()
+    metrics._run_seed(METHODS, *tiny_data(6), settings, seed=6)
+    assert len(draws) == len(METHODS)
+    assert len(draws[0]) == 2 * settings.eval_episodes  # a support and a query set each
+    for other in draws[1:]:
+        for got, want in zip(other, draws[0], strict=True):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
 def test_run_pipeline_unknown_method():
     corpus, attrs = tiny_data(1)
     with pytest.raises(ValueError, match="unknown method"):
@@ -308,12 +335,15 @@ def test_draws_larger_than_the_hard_tier_fail_at_samples():
     assert exc.value.stage == "samples"
 
 
-def test_teacher_failure_names_the_teacher_stage():
+@pytest.mark.parametrize("lr, error", [
+    (0.0, "teacher_lr must be > 0"),
+    (1e6, "epoch 0, batch 2: non-finite logits on the training rows after the update"),
+], ids=["invalid", "diverging"])
+def test_teacher_failure_names_the_teacher_stage(lr, error):
     corpus, attrs = tiny_data(2)
     settings = tiny_settings()
-    settings.teacher_lr = 0.0
-    with pytest.raises(PipelineStageError, match="stage 'teacher' failed: teacher_lr must be > 0"
-                       ) as exc:
+    settings.teacher_lr = lr
+    with pytest.raises(PipelineStageError, match=f"^stage 'teacher' failed: {error}$") as exc:
         run_pipeline("pretrained_embeddings", corpus, attrs, settings, seed=0)
     assert exc.value.stage == "teacher"
 

@@ -9,6 +9,7 @@ from cftmal.numeric import (
     EPS,
     AdamWState,
     DenseLayer,
+    NonFiniteError,
     ShapeError,
     adamw_init,
     adamw_step,
@@ -17,9 +18,11 @@ from cftmal.numeric import (
     chain_forward,
     chain_params,
     chain_tangent,
+    checked_adamw_step,
     init_dense,
     layer_backward,
     layer_forward,
+    n_params,
     param_views,
     softmax,
     softmax_cross_entropy,
@@ -165,6 +168,27 @@ def test_adamw_first_step_magnitude():
     assert state.step == 1
 
 
+@pytest.mark.parametrize("loss, bad", [(np.inf, None), (np.nan, None), (1.0, np.inf),
+                                       (1.0, np.nan)])
+def test_checked_adamw_step_refuses_a_non_finite_loss_or_gradient_before_the_update(loss, bad):
+    params = np.ones(3, dtype=np.float32)
+    grads = np.full(3, 0.5, dtype=np.float32)
+    if bad is not None:
+        grads[1] = bad
+    state = adamw_init(params, lr=0.1)
+    with pytest.raises(NonFiniteError, match="^epoch 2, batch 5: non-finite loss or gradient$"):
+        checked_adamw_step(state, params, loss, grads, "epoch 2, batch 5")
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+    assert (params == 1.0).all()
+
+
+def test_checked_adamw_step_refuses_an_update_past_float32():
+    params = np.full(2, -3e38, dtype=np.float32)
+    state = adamw_init(params, lr=1e38, weight_decay=0.0)
+    with pytest.raises(NonFiniteError, match="^batch 0: non-finite parameters after the update$"):
+        checked_adamw_step(state, params, 1.0, np.ones(2, dtype=np.float32), "batch 0")
+
+
 def textbook_adamw(m, v, params, grads, step, lr, weight_decay):
     """The reference AdamW step, one new array per operation."""
     m = BETA1 * m + (1.0 - BETA1) * grads
@@ -232,7 +256,7 @@ def test_chain_roundtrip_and_backward():
     def loss():
         return float((chain_forward(layers, x)[0] * upstream).sum())
 
-    grads, gx = chain_backward(layers, caches, upstream)
+    grads, gx = chain_backward(layers, caches, upstream, out=np.empty(n_params(layers)))
     params = chain_params(layers)
     for g, p in zip(param_views(layers, grads), params):
         assert rel_err(g, fd_grad(loss, p)) < 1e-6
@@ -247,8 +271,9 @@ def test_chain_backward_can_skip_input_grad():
     ]
     _, caches = chain_forward(layers, rng.standard_normal((5, 3)))
     upstream = rng.standard_normal((5, 2))
-    grads, _ = chain_backward(layers, caches, upstream)
-    skipped, gx = chain_backward(layers, caches, upstream, input_grad=False)
+    grads, _ = chain_backward(layers, caches, upstream, out=np.empty(n_params(layers)))
+    skipped, gx = chain_backward(layers, caches, upstream, out=np.empty(n_params(layers)),
+                                 input_grad=False)
     assert gx is None
     for a, b in zip(grads, skipped):
         np.testing.assert_array_equal(a, b)
@@ -268,7 +293,7 @@ def test_chain_backward_jvp_matches_fd_of_chain_backward():
     _, caches = chain_forward(layers, x)
     _, dxs = chain_tangent(layers, caches, dparams, dx)
     dgrads, gx, dgx = chain_backward_jvp(layers, dparams, caches, dxs, upstream,
-                                         np.zeros_like(upstream))
+                                         np.zeros_like(upstream), out=np.empty_like(dparams))
 
     dviews = param_views(layers, dparams)
 
@@ -277,15 +302,17 @@ def test_chain_backward_jvp_matches_fd_of_chain_backward():
                  for l, w, b, dw, db in zip(layers, params[::2], params[1::2],
                                             dviews[::2], dviews[1::2])]
         _, c = chain_forward(moved, x + step * dx)
-        return chain_backward(moved, c, upstream)
+        return chain_backward(moved, c, upstream, out=np.empty_like(dparams))
 
     (up, gx_up), (down, gx_down) = grads_at(H), grads_at(-H)
     for d, u, w in zip(*(param_views(layers, v) for v in (dgrads, up, down))):
         assert rel_err(d, (u - w) / (2 * H)) < 1e-6
-    np.testing.assert_array_equal(gx, chain_backward(layers, caches, upstream)[1])
+    np.testing.assert_array_equal(
+        gx, chain_backward(layers, caches, upstream, out=np.empty_like(dparams))[1])
     assert rel_err(dgx, (gx_up - gx_down) / (2 * H)) < 1e-6
     skipped, none_gx, none_dgx = chain_backward_jvp(
-        layers, dparams, caches, dxs, upstream, np.zeros_like(upstream), input_grad=False)
+        layers, dparams, caches, dxs, upstream, np.zeros_like(upstream), out=np.empty_like(dparams),
+        input_grad=False)
     assert none_gx is None and none_dgx is None
     for a, b in zip(dgrads, skipped):
         np.testing.assert_array_equal(a, b)
